@@ -46,17 +46,28 @@ class Allocation:
     def addr(self, index):
         """Word address of element ``index`` (scalar or NumPy array).
 
-        Bounds are checked for scalars; array indexing is used on hot
-        paths and validated once by the caller instead.
+        A scalar must be an integer (Python or NumPy; ``bool`` and
+        floats raise ``TypeError``) and is bounds-checked; array
+        indexing is used on hot paths and validated once by the caller
+        instead.
         """
-        if np.isscalar(index):
-            if not 0 <= index < self.length:
-                raise IndexError(
-                    f"index {index} out of bounds for allocation {self.name!r}"
-                    f" of length {self.length}"
+        if type(index) is not int:  # plain ints skip straight to bounds
+            if not np.isscalar(index):
+                return self.base + np.asarray(index, dtype=np.int64)
+            if isinstance(index, (bool, np.bool_)) or not isinstance(
+                index, (int, np.integer)
+            ):
+                raise TypeError(
+                    f"index into allocation {self.name!r} must be an int,"
+                    f" got {type(index).__name__} ({index!r})"
                 )
-            return self.base + int(index)
-        return self.base + np.asarray(index, dtype=np.int64)
+            index = int(index)
+        if not 0 <= index < self.length:
+            raise IndexError(
+                f"index {index} out of bounds for allocation {self.name!r}"
+                f" of length {self.length}"
+            )
+        return self.base + index
 
     @property
     def end(self) -> int:

@@ -137,6 +137,8 @@ def _as_int(value, op: str, operand: str) -> int:
     rejected even though it subclasses ``int``, because a bool operand
     is always a bug in a program generator.
     """
+    if type(value) is int:  # the common case; excludes bool
+        return value
     if isinstance(value, bool):
         raise TypeError(f"{op} {operand} must be an int, got bool")
     try:
@@ -147,23 +149,33 @@ def _as_int(value, op: str, operand: str) -> int:
         ) from None
 
 
+# C/L/LD/S build nearly every op a paper program issues, so each repeats
+# _as_int's exact-int check inline and skips the call in the common case.
 def compute(k: int = 1) -> tuple:
     """``k`` compute instructions."""
+    if type(k) is int:
+        return (COMPUTE, k)
     return (COMPUTE, _as_int(k, "C", "k"))
 
 
 def load(addr: int) -> tuple:
     """An independent (overlappable) load of one word."""
+    if type(addr) is int:
+        return (LOAD, addr)
     return (LOAD, _as_int(addr, "L", "addr"))
 
 
 def load_dep(addr: int) -> tuple:
     """A dependent load — the thread needs the value immediately."""
+    if type(addr) is int:
+        return (LOAD_DEP, addr)
     return (LOAD_DEP, _as_int(addr, "LD", "addr"))
 
 
 def store(addr: int) -> tuple:
     """A buffered store of one word."""
+    if type(addr) is int:
+        return (STORE, addr)
     return (STORE, _as_int(addr, "S", "addr"))
 
 

@@ -200,6 +200,37 @@ def test_roundtrip_hook_event_stream(machine, tier):
     assert rep2.name == rep0.name == "test"
 
 
+@pytest.mark.parametrize("n_threads, dtype", [(256, np.uint8), (257, np.int32)])
+def test_resume_log_packs_tids_on_both_sides_of_256(n_threads, dtype):
+    """The log packs tids as uint8 up to 256 threads and as int32 above;
+    either way it holds the recorded order and resumes byte-identically."""
+
+    def build(record=False):
+        eng = MTAEngine(p=3, record=record)  # 128 streams per processor
+
+        def worker(i):
+            yield load(8 * i)
+            yield compute(2)
+            yield store(8 * i)
+
+        for i in range(n_threads):
+            eng.spawn(worker(i))
+        return eng
+
+    rep0 = build().run("test")
+    eng1 = build(record=True)
+    state = _pause_state(eng1, 100)
+    assert state is not None
+    tids = state["log"]["tids"]
+    assert tids.dtype == dtype
+    assert tids.tolist() == list(eng1.kernel._rec_tids)
+    assert max(tids.tolist()) == n_threads - 1  # every thread resumed
+
+    eng2 = build()
+    eng2.resume(pickle.loads(pickle.dumps(state)))
+    assert _report_blob(eng2.run("IGNORED")) == _report_blob(rep0)
+
+
 # ---------------------------------------------------------------------------
 # property: random programs, random boundaries (fuzz-generator reuse)
 # ---------------------------------------------------------------------------

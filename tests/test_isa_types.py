@@ -6,9 +6,12 @@ construction time with an error naming the op and operand — not deep
 inside an engine run.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.arch.memory import AddressSpace
 from repro.sim import isa
 
 
@@ -79,3 +82,95 @@ class TestAccepted:
 
     def test_compute_default(self):
         assert isa.compute() == ("C", 1)
+
+
+def _rejection(op, operand, value):
+    """The exact message a constructor raises for ``value``, anchored."""
+    if isinstance(value, bool):
+        msg = f"{op} {operand} must be an int, got bool"
+    else:
+        msg = f"{op} {operand} must be an int, got {type(value).__name__} ({value!r})"
+    return "^" + re.escape(msg) + "$"
+
+
+_PLAIN = [
+    (isa.compute, "C", "k"),
+    (isa.load, "L", "addr"),
+    (isa.load_dep, "LD", "addr"),
+    (isa.store, "S", "addr"),
+]
+_BAD = [True, False, np.bool_(True), 2.5, np.float64(3.0), "7"]
+
+
+class TestFastPaths:
+    """Exact ints return early; everything else is still fully validated."""
+
+    @pytest.mark.parametrize("ctor, tag, operand", _PLAIN)
+    def test_exact_int_comes_back_as_the_same_object(self, ctor, tag, operand):
+        x = int("1" * 30)  # a fresh, non-interned int object
+        op = ctor(x)
+        assert op == (tag, x)
+        assert op[1] is x
+
+    def test_fetch_add_exact_ints_come_back_as_the_same_objects(self):
+        addr, inc = int("2" * 30), -int("3" * 30)
+        op = isa.fetch_add(addr, inc)
+        assert op == ("FA", addr, inc)
+        assert op[1] is addr and op[2] is inc
+
+    @pytest.mark.parametrize("bad", _BAD, ids=repr)
+    @pytest.mark.parametrize("ctor, tag, operand", _PLAIN)
+    def test_plain_ops_reject_with_unchanged_messages(self, ctor, tag, operand, bad):
+        with pytest.raises(TypeError, match=_rejection(tag, operand, bad)):
+            ctor(bad)
+
+    @pytest.mark.parametrize("bad", _BAD, ids=repr)
+    def test_fetch_add_rejects_with_unchanged_messages(self, bad):
+        with pytest.raises(TypeError, match=_rejection("FA", "addr", bad)):
+            isa.fetch_add(bad, 1)
+        with pytest.raises(TypeError, match=_rejection("FA", "inc", bad)):
+            isa.fetch_add(8, bad)
+
+
+class TestAllocationAddr:
+    """``Allocation.addr``: plain-int fast path, full checks otherwise."""
+
+    @pytest.fixture
+    def alloc(self):
+        space = AddressSpace()
+        space.alloc("pad", 3)
+        return space.alloc("rank", 10)
+
+    @pytest.mark.parametrize("cast", [int, np.int64, np.int32, np.uint8])
+    def test_integer_scalars_give_an_int_address(self, alloc, cast):
+        addr = alloc.addr(cast(7))
+        assert addr == alloc.base + 7
+        assert type(addr) is int
+
+    @pytest.mark.parametrize("cast", [int, np.int64])
+    @pytest.mark.parametrize("index", [-1, 10])
+    def test_out_of_bounds_raises(self, alloc, cast, index):
+        msg = f"index {index} out of bounds for allocation 'rank' of length 10"
+        with pytest.raises(IndexError, match="^" + re.escape(msg) + "$"):
+            alloc.addr(cast(index))
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.bool_(True), 2.7, 0.0, np.float64(2.0), np.float32(1.0)],
+        ids=repr,
+    )
+    def test_non_integer_scalars_raise(self, alloc, bad):
+        msg = (
+            f"index into allocation 'rank' must be an int,"
+            f" got {type(bad).__name__} ({bad!r})"
+        )
+        with pytest.raises(TypeError, match="^" + re.escape(msg) + "$"):
+            alloc.addr(bad)
+
+    @pytest.mark.parametrize(
+        "index", [np.array([0, 9, 4]), [0, 9, 4], np.array([0, 9, 4], dtype=np.int32)],
+        ids=["int64-array", "list", "int32-array"],
+    )
+    def test_array_indexing_is_unchanged(self, alloc, index):
+        addrs = alloc.addr(index)
+        assert isinstance(addrs, np.ndarray) and addrs.dtype == np.int64
+        assert addrs.tolist() == [alloc.base + 0, alloc.base + 9, alloc.base + 4]
