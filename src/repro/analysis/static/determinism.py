@@ -1,9 +1,9 @@
 """Determinism lint: nondeterminism sources in determinism-critical code.
 
 Every subsystem since the sweep runner stakes correctness on
-byte-identical replay — cached sweeps compare digests, sharded runs
-must merge identically at any worker count, checkpoints must resume to
-the same report.  A single wall-clock read, unseeded RNG draw, or
+byte-identical replay — cached sweeps compare digests, parallel sweeps
+must match at any worker count, checkpoints must resume to the same
+report.  A single wall-clock read, unseeded RNG draw, or
 set-iteration order leaking into a result silently breaks all of it,
 usually long after the offending line was merged.  These rules flag the
 sources at the line level inside the determinism-critical packages
@@ -235,7 +235,7 @@ class NondetIdOrderRule(_DeterminismRule):
     """``id()`` values used at all in determinism-critical code.
 
     ``id()`` is an address: stable within one process, different across
-    processes — so an id-keyed dict merged across shard workers, or an
+    processes — so an id-keyed dict merged across pool workers, or an
     id-based sort, silently diverges.  Pure same-process membership
     tests are legitimate and carry an ``# allow_nondet`` annotation.
     """

@@ -6,7 +6,7 @@ all) by ad-hoc runtime tests:
 * Benchmarks route execution through the sweep runner (``Job`` →
   ``repro.core.run_jobs``), never by constructing machines/engines or
   calling ``simulate_*`` entry points directly — otherwise they bypass
-  caching, sharding, and checkpointing, and their numbers stop being
+  caching and checkpointing, and their numbers stop being
   comparable with everything else.  This promotes the PR 2
   ``test_benchmarks_go_through_the_runner`` source grep into a real AST
   rule; the two benchmarks whose *measurement* is the direct path carry
@@ -78,8 +78,7 @@ class EngineDirectConstructRule(Rule):
                     ctx,
                     node,
                     f"benchmark constructs {bare} directly; submit a Job to "
-                    f"repro.core.run_jobs so caching/sharding/checkpointing "
-                    f"apply",
+                    f"repro.core.run_jobs so caching/checkpointing apply",
                     witness={"constructor": bare},
                 )
             elif bare.startswith("simulate_"):

@@ -38,8 +38,6 @@ OP_ARITY = {
     "SLE": 2,
     "SLF": 2,
     "SSF": 3,
-    "GV": 2,
-    "PV": 3,
     "B": 2,
     "P": 2,
     "VR": 2,
@@ -58,8 +56,6 @@ _HELPER_TAGS = {
     "sync_load_consume": "SLE",
     "sync_load_peek": "SLF",
     "sync_store": "SSF",
-    "get_value": "GV",
-    "put_value": "PV",
     "barrier": "B",
     "phase": "P",
     "run_block": "VR",

@@ -83,7 +83,6 @@ def _register_builtins() -> None:
         hooks=HOOK_EVENTS,
         tiers=("interpreted", "vector"),
         checkpoint=True,
-        shardable=True,
         xval=True,
     )
     register(

@@ -41,18 +41,6 @@ Workload options consumed here (all optional):
     ``fresh`` (truthy: ignore existing artifacts instead of
     auto-resuming from the newest).  The sweep runner injects this from
     its ``checkpoint=`` argument; see ``docs/SIMULATION.md``.
-``shards``, ``shard_workers``, ``shard_executor``, ``remote_latency``
-    ``shards`` > 1 runs the workload on the sharded runtime
-    (:mod:`repro.sim.shard`): the address space splits into that many
-    partitions, hosted by ``shard_workers`` workers (default: one per
-    shard) under the ``"mp"`` (default: real processes) or ``"inline"``
-    executor, with remote references charged ``remote_latency`` cycles
-    (default: the machine's memory latency).  Results are deterministic
-    for a fixed shard count — identical for any worker count and either
-    executor.  Supported kinds: ``cc`` and ``chase`` on shardable
-    engines (``repro backends`` shows the ``shard`` column); sharding
-    is incompatible with ``check`` and, for the multi-phase ``cc``
-    program, with ``checkpoint``.  See ``docs/SHARDING.md``.
 
 Backend options: ``config`` — dict of :class:`~repro.core.smp_machine.SMPConfig`
 field overrides for the SMP engine; ``collect_phases`` is implicit
@@ -62,6 +50,7 @@ field overrides for the SMP engine; ``collect_phases`` is implicit
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 
 from ..errors import ConfigurationError
 from .base import Backend, RunHandle
@@ -97,12 +86,7 @@ class SMPEngineBackend(Backend):
     def execute(self, handle: RunHandle, check=None):
         workload = handle.workload
         opt = workload.options
-        if _resolve_shards(workload) is not None:
-            raise ConfigurationError(
-                "the SMP engine does not shard: its cache/bus timing is"
-                " globally coupled; sharding needs a flat hashed-memory"
-                " machine (mta-engine, mta-next-engine)"
-            )
+        _reject_retired_options(workload)
         check, attach_summary = _resolve_check(check, workload)
         tier = _resolve_tier(workload, check)
         session = _resolve_session(workload, self.name, check)
@@ -155,19 +139,17 @@ class MTAEngineBackend(Backend):
     def execute(self, handle: RunHandle, check=None):
         workload = handle.workload
         opt = workload.options
+        _reject_retired_options(workload)
         check, attach_summary = _resolve_check(check, workload)
-        shard = _resolve_shards(workload)
-        if shard is not None:
-            if check is not None:
-                raise ConfigurationError(
-                    "sharded runs host their workers in separate kernels:"
-                    " concurrency analysis (check) needs the single-kernel"
-                    " per-op stream, so it requires shards=1"
-                )
-            return self._execute_sharded(handle, shard)
         if workload.kind == "chase":
             return self._execute_chase(handle, check, attach_summary)
-        engine_kwargs = dict(opt.get("engine_kwargs") or {})
+        engine_kwargs = opt.get("engine_kwargs")
+        if not isinstance(engine_kwargs, (Mapping, type(None))):
+            raise ConfigurationError(
+                "engine_kwargs must be a mapping of engine parameters,"
+                f" got {type(engine_kwargs).__name__} {engine_kwargs!r}"
+            )
+        engine_kwargs = dict(engine_kwargs or {})
         engine_kwargs.setdefault("tier", _resolve_tier(workload, check))
         session = _resolve_session(workload, self.name, check)
         if workload.kind == "rank":
@@ -206,93 +188,6 @@ class MTAEngineBackend(Backend):
             summary.detail["iterations"] = int(sim.iterations)
         if attach_summary:
             summary.detail["analysis"] = check.report().summary_dict()
-        return summary
-
-    def _execute_sharded(self, handle: RunHandle, shard: dict):
-        """Run ``cc`` or ``chase`` on the sharded runtime (shards > 1)."""
-        from ..sim import MTAEngine
-
-        workload = handle.workload
-        opt = workload.options
-        if workload.kind == "rank":
-            raise ConfigurationError(
-                "the list-ranking program keeps its algorithm state in host"
-                " arrays; sharded execution supports the kinds with"
-                " engine-owned state: cc and chase"
-            )
-        tier = _resolve_tier(workload, None)
-        engine = self.engine_factory or MTAEngine
-        if workload.kind == "chase":
-            return self._execute_chase_sharded(handle, shard, engine, tier)
-        if workload.option("checkpoint"):
-            raise ConfigurationError(
-                "sharded cc runs re-seed their partitions every"
-                " graft/shortcut phase, so there is no single resumable"
-                " cycle stream; checkpointing applies to single-phase"
-                " sharded runs (chase) or to unsharded runs"
-            )
-        from ..graphs.shard_programs import simulate_sharded_cc
-
-        params = dict(opt.get("engine_kwargs") or {})
-        params.pop("tier", None)
-        sim = simulate_sharded_cc(
-            handle.data,
-            p=workload.p,
-            shards=shard["shards"],
-            workers=shard["workers"],
-            executor=shard["executor"],
-            remote_latency=shard["remote_latency"],
-            streams_per_proc=int(opt.get("streams_per_proc", 100)),
-            edges_per_chunk=int(opt.get("edges_per_chunk", 16)),
-            max_iter=int(opt.get("max_iter", 64)),
-            params=params,
-            base=getattr(engine, "machine_class", None),
-            tier=tier,
-        )
-        summary = sim.summary
-        summary.detail.update(handle.meta)
-        summary.detail["backend"] = self.name
-        summary.detail["iterations"] = int(sim.iterations)
-        summary.detail["shards"] = shard["shards"]
-        summary.detail["shard"] = sim.shard_detail
-        return summary
-
-    def _execute_chase_sharded(self, handle: RunHandle, shard, engine, tier):
-        from ..obs.summary import RunSummary
-        from ..sim import isa
-
-        workload = handle.workload
-        opt = workload.options
-        chasers = int(handle.meta.get("chasers", 1))
-        steps = int(opt.get("steps", 40))
-
-        def _chaser():
-            for i in range(steps):
-                yield isa.compute(1)
-                yield isa.load_dep(i)
-                yield isa.load_dep(100_000 + i)
-
-        eng = engine(
-            p=workload.p,
-            streams_per_proc=int(opt.get("streams_per_proc", 128)),
-            mem_latency=int(opt.get("mem_latency", 100)),
-            lookahead=int(opt.get("lookahead", 2)),
-            tier=tier,
-            shards=shard["shards"],
-            shard_workers=shard["workers"],
-            shard_executor=shard["executor"],
-            remote_latency=shard["remote_latency"],
-        )
-        for _ in range(chasers):
-            eng.spawn(_chaser())
-        checkpoint, resume = _shard_checkpoint(workload, self.name)
-        report = eng.run(name="chase", checkpoint=checkpoint, resume=resume)
-        summary = RunSummary.from_report(report, machine=self.name)
-        summary.name = "chase"
-        summary.detail.update(handle.meta)
-        summary.detail["backend"] = self.name
-        summary.detail["shards"] = shard["shards"]
-        summary.detail["shard"] = eng.shard_detail
         return summary
 
     def _execute_chase(self, handle: RunHandle, check=None, attach_summary=False):
@@ -354,70 +249,22 @@ class ModelEngineBackend(MTAEngineBackend):
         self.engine_factory = engine_factory
 
 
-def _resolve_shards(workload):
-    """Normalized shard options (None when the run is unsharded)."""
-    opt = workload.options
-    shards = int(opt.get("shards") or 1)
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        return None
-    workers = opt.get("shard_workers")
-    remote = opt.get("remote_latency")
-    executor = str(opt.get("shard_executor") or "mp")
-    if executor not in ("mp", "inline"):
+#: Workload options of the sharded runtime, which no longer exists.
+_RETIRED_OPTIONS = ("shards", "shard_workers", "shard_executor", "remote_latency")
+
+
+def _reject_retired_options(workload) -> None:
+    """Refuse the sharded runtime's options instead of ignoring them:
+    an ignored option would run unsharded under a new cache key, so an
+    old sweep spec or service client would get a different answer
+    without notice."""
+    retired = [k for k in _RETIRED_OPTIONS if k in workload.options]
+    if retired:
         raise ConfigurationError(
-            f"unknown shard_executor {executor!r}; expected 'mp' or 'inline'"
+            f"workload option(s) {', '.join(retired)} are no longer"
+            " accepted: the sharded runtime was removed and every engine"
+            " run executes on one kernel"
         )
-    return {
-        "shards": shards,
-        "workers": int(workers) if workers is not None else None,
-        "executor": executor,
-        "remote_latency": int(remote) if remote is not None else None,
-    }
-
-
-def _shard_checkpoint(workload, backend_name: str):
-    """Translate the ``checkpoint`` option into a coordinator spec.
-
-    Sharded runs snapshot as a coordinated cut — one pickle per shard
-    plus a manifest — so the artifacts live in their own directory
-    ``<store root>/shard-<key>/`` rather than the content-addressed
-    store.  An existing manifest auto-resumes (``fresh`` ignores it;
-    an explicit ``resume`` names such a directory).
-    """
-    spec = workload.option("checkpoint")
-    if not spec:
-        return None, None
-    import hashlib
-
-    from ..sim.checkpoint import CheckpointStore
-
-    spec = dict(spec)
-    key = spec.get("key")
-    if not key:
-        from .base import canonical_json
-
-        canon = workload.canonical()
-        canon["options"] = {
-            k: v for k, v in canon["options"].items() if k != "checkpoint"
-        }
-        key = hashlib.sha256(
-            canonical_json({"workload": canon, "backend": backend_name}).encode()
-        ).hexdigest()
-    ckpt_dir = CheckpointStore(spec.get("dir")).root / f"shard-{key[:16]}"
-    checkpoint = None
-    if spec.get("every"):
-        checkpoint = {"every": int(spec["every"]), "dir": str(ckpt_dir)}
-        if spec.get("stop_after"):
-            checkpoint["stop_after"] = int(spec["stop_after"])
-    resume = None
-    ref = spec.get("resume")
-    if ref:
-        resume = str(ref)
-    elif not spec.get("fresh") and (ckpt_dir / "manifest.json").is_file():
-        resume = str(ckpt_dir)
-    return checkpoint, resume
 
 
 def _resolve_session(workload, backend_name: str, check=None):

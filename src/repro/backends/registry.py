@@ -39,9 +39,6 @@ class _Entry:
     #: True when the backend's runs can checkpoint/resume (the machine
     #: model implements the serializable-state contract).
     checkpoint: bool = False
-    #: True when the backend accepts the ``shards`` workload option and
-    #: runs through the sharded runtime (:mod:`repro.sim.shard`).
-    shardable: bool = False
     #: True when the backend participates in model-vs-engine
     #: cross-validation (:mod:`repro.xval`) — either as a stack with an
     #: analytic counterpart or as the pairing backend itself.
@@ -62,7 +59,6 @@ def register(
     hooks: tuple = (),
     tiers: tuple = (),
     checkpoint: bool = False,
-    shardable: bool = False,
     xval: bool = False,
     replace: bool = False,
 ) -> None:
@@ -75,12 +71,10 @@ def register(
     :class:`~repro.sim.hooks.HookBus` events its runs can deliver,
     ``tiers`` the execution tiers its runs may use (the workload's
     ``tier`` option), ``checkpoint`` whether its runs support
-    checkpoint/resume (the workload's ``checkpoint`` option),
-    ``shardable`` whether they accept the ``shards`` workload option
-    (the multi-process sharded runtime), and ``xval`` whether the
-    backend participates in model-vs-engine cross-validation
-    (:mod:`repro.xval`); all are informational (shown by ``repro
-    backends``).
+    checkpoint/resume (the workload's ``checkpoint`` option), and
+    ``xval`` whether the backend participates in model-vs-engine
+    cross-validation (:mod:`repro.xval`); all are informational (shown
+    by ``repro backends``).
     """
     if not name:
         raise ConfigurationError("backend name must be non-empty")
@@ -98,7 +92,6 @@ def register(
         hooks=tuple(hooks),
         tiers=tuple(tiers),
         checkpoint=bool(checkpoint),
-        shardable=bool(shardable),
         xval=bool(xval),
     )
 
@@ -133,7 +126,7 @@ def names() -> list[str]:
 
 def describe() -> list[dict]:
     """One row per backend: name, level, kinds, machine, hooks, tiers,
-    checkpoint, shardable, xval, description."""
+    checkpoint, xval, description."""
     return [
         {
             "name": e.name,
@@ -143,7 +136,6 @@ def describe() -> list[dict]:
             "hooks": list(e.hooks),
             "tiers": list(e.tiers),
             "checkpoint": e.checkpoint,
-            "shardable": e.shardable,
             "xval": e.xval,
             "description": e.description,
         }

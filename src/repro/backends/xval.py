@@ -4,7 +4,7 @@ Wrapping :func:`repro.xval.run_xval` behind the
 :class:`~repro.backends.base.Backend` interface buys the xval
 subsystem everything the sweep runner already provides: the on-disk
 result cache (a divergence report is re-derived from cache, never
-re-simulated), deterministic seeding, worker sharding, and job
+re-simulated), deterministic seeding, pool workers, and job
 coalescing.  The engine's phase record is preserved on the returned
 :class:`~repro.obs.RunSummary`; the full
 :class:`~repro.xval.DivergenceReport` rides in ``detail["xval"]`` as a

@@ -173,14 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--p", type=int, default=8, help="processors")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="partition the run across K shard workers (shardable engine"
-        " backends only; deterministic for a fixed K — see docs/SHARDING.md)",
-    )
-    p_run.add_argument(
         "--param",
         action="append",
         default=[],
@@ -960,12 +952,11 @@ def _cmd_backends(args) -> int:
         hooks = f"{len(r['hooks'])} hooks" if r["hooks"] else "-"
         tiers = ",".join(r.get("tiers", [])) or "-"
         ckpt = "ckpt" if r.get("checkpoint") else "-"
-        shard = "shard" if r.get("shardable") else "-"
         xval = "xval" if r.get("xval") else "-"
         print(
             f"{r['name']:<{width}}  {r['level']:<6}  {kinds:<{kw}}"
             f"  {machine:<{mw}}  {hooks:<8}  {tiers:<{tw}}  {ckpt:<4}"
-            f"  {shard:<5}  {xval:<4}  {r['description']}"
+            f"  {xval:<4}  {r['description']}"
         )
     return 0
 
@@ -1016,8 +1007,6 @@ def _cmd_run(args) -> int:
         key = "leaves" if args.workload == "tree" else "n"
         params.setdefault(key, args.n)
     options = _parse_kv(args.opt, "--opt")
-    if _positive("--shards", args.shards) is not None:
-        options.setdefault("shards", args.shards)
     workload = Workload(args.workload, args.p, args.seed, params, options)
     job = Job(workload, args.backend)
     [result] = run_jobs(

@@ -51,16 +51,6 @@ class ServiceMetrics:
         self.counters.inc("cache_stores", cache.stores)
         self.counters.inc("cache_evictions", cache.evictions)
 
-    def record_shard_traffic(self, detail) -> None:
-        """Fold one sharded run's coordinator counters in (``detail`` is
-        a result's ``detail["shard"]``; see :mod:`repro.sim.shard`)."""
-        if not detail:
-            return
-        self.counters.inc("shard_runs")
-        self.counters.inc("shard_rounds", int(detail.get("rounds", 0)))
-        self.counters.inc("shard_msgs_routed", int(detail.get("msgs_routed", 0)))
-        self.counters.inc("shard_checkpoints", int(detail.get("checkpoints", 0)))
-
     # -- export ------------------------------------------------------------------
 
     def snapshot(

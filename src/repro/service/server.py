@@ -446,9 +446,6 @@ class ExperimentService:
             }
             self._finish(record, DONE, payload=payload)
             self.metrics.inc("completed")
-            for r in results:
-                if not r.cached:
-                    self.metrics.record_shard_traffic(r.detail.get("shard"))
             self._coalescer.resolve(record.key, payload)
         finally:
             self._in_flight -= 1

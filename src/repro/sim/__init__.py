@@ -30,7 +30,6 @@ from .kernel import (
 from .machines import list_machines, machine_spec, register_machine
 from .mta_engine import MTAEngine, MTAMachine
 from .mta_next import MTANextMachine
-from .shard import PartitionPlan, ShardResult, run_sharded, sharded_machine
 from .smp_engine import SMPEngine, SMPMachine
 from .stats import PhaseSlice, SimReport, combine_reports
 from .thread import SimThread
@@ -65,8 +64,4 @@ __all__ = [
     "SimReport",
     "combine_reports",
     "SimThread",
-    "PartitionPlan",
-    "ShardResult",
-    "run_sharded",
-    "sharded_machine",
 ]

@@ -38,18 +38,6 @@ tag string.  Tags:
 ``("SSF", addr, value)``
     Synchronous store: wait until *empty*, write ``value``, set Full.
 
-``("GV", addr)`` / ``("PV", addr, value)``
-    Value-carrying global-memory ops: read (``GV``) or write (``PV``)
-    a word whose *value* the engine owns, like full/empty words but
-    without blocking semantics.  Only machines with a value store
-    implement them — today the sharded machines
-    (:mod:`repro.sim.shard`), where they are what lets owner-computes
-    programs exchange data across address partitions: a ``GV``/``PV``
-    on a word owned by another partition is forwarded over the message
-    channel and served by the owner in deterministic arrival order.
-    ``GV`` returns the word's value via ``send`` (dependent-load
-    timing); ``PV`` is a buffered store of ``value``.
-
 ``("B", barrier_id)``
     Barrier: block until every registered participant arrives.
 
@@ -92,8 +80,6 @@ __all__ = [
     "SYNC_LOAD_EMPTY",
     "SYNC_LOAD_FULL",
     "SYNC_STORE_FULL",
-    "GET_VALUE",
-    "PUT_VALUE",
     "BARRIER",
     "PHASE",
     "RUN_BLOCK",
@@ -105,8 +91,6 @@ __all__ = [
     "sync_load_consume",
     "sync_load_peek",
     "sync_store",
-    "get_value",
-    "put_value",
     "barrier",
     "phase",
     "run_block",
@@ -120,8 +104,6 @@ FETCH_ADD = "FA"
 SYNC_LOAD_EMPTY = "SLE"
 SYNC_LOAD_FULL = "SLF"
 SYNC_STORE_FULL = "SSF"
-GET_VALUE = "GV"
-PUT_VALUE = "PV"
 BARRIER = "B"
 PHASE = "P"
 RUN_BLOCK = "VR"
@@ -201,26 +183,6 @@ def sync_store(addr: int, value) -> tuple:
     may be any object, so it is not constrained to an int.
     """
     return (SYNC_STORE_FULL, _as_int(addr, "SSF", "addr"), value)
-
-
-def get_value(addr: int) -> tuple:
-    """Read an engine-owned word's value (dependent-load timing).
-
-    Returns the value via the yield expression.  Served by machines
-    with a value store (the sharded machines); on a word owned by a
-    remote partition the read round-trips over the message channel.
-    """
-    return (GET_VALUE, _as_int(addr, "GV", "addr"))
-
-
-def put_value(addr: int, value) -> tuple:
-    """Write an engine-owned word's value (buffered-store timing).
-
-    Like :func:`store` but the engine keeps ``value``; a remote owner
-    applies it in deterministic arrival order.  ``value`` may be any
-    picklable object.
-    """
-    return (PUT_VALUE, _as_int(addr, "PV", "addr"), value)
 
 
 def barrier(barrier_id: str = "default") -> tuple:

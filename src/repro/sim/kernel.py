@@ -113,12 +113,6 @@ class MachineModel:
         If True, a barrier op on an unregistered id auto-registers it
         with ``need = p`` (the SMP's software barriers); otherwise the
         op raises (the MTA requires ``register_barrier``).
-    owns_barriers:
-        If True, the kernel hands every ``B`` op to
-        :meth:`barrier_op` instead of its own registry — for machines
-        whose barriers span more than one kernel (the sharded machines
-        of :mod:`repro.sim.shard`, where participants live in other
-        worker processes).  Interleaved machines only.
     threads_per_proc:
         Stream capacity per processor (interleaved machines); event
         machines always run exactly one thread per processor.
@@ -133,7 +127,6 @@ class MachineModel:
     clock_hz = 1e9
     default_budget = 500_000_000
     implicit_barriers = False
-    owns_barriers = False
     threads_per_proc = 1
     lookahead = 0
 
@@ -180,13 +173,6 @@ class MachineModel:
         """Inventory rows for threads blocked on model-owned state
         (full/empty waits); the kernel appends barrier waiters itself."""
         return []
-
-    def barrier_op(self, kernel: "SimKernel", t, bid: str, cycle: int) -> None:
-        """Handle a ``B`` op when :attr:`owns_barriers` is True.
-
-        The issue slot is already charged; the model must park ``t``
-        (and eventually wake it via ``kernel.block_until``)."""
-        raise ConfigurationError(f"{self.kind} does not own barriers")
 
     def report_detail(self, kernel: "SimKernel") -> dict:
         """The machine's ``SimReport.detail`` dict (contention counters)."""
@@ -361,9 +347,6 @@ class SimKernel:
         # only be restored onto the same setup.
         self._rec_tids: list | None = [] if record else None
         self._rec_vals: list = []
-        #: A model handler may set this (a cycle) to pull the next
-        #: service-callback invocation forward; see :meth:`run`.
-        self.service_wake: int | None = None
         self._setup_hash = hashlib.sha256(
             repr((model.kind, model.scheduling, model.p, model.config_state())).encode()
         )
@@ -429,16 +412,6 @@ class SimKernel:
         self.model.init_full(addr, value)
         self._setup_hash.update(f"F{addr}:{value!r}".encode())
         self.bus.init_full(addr)
-
-    def note_setup(self, label: str) -> None:
-        """Fold an external setup declaration into :attr:`setup_digest`.
-
-        Used by machinery that configures the *model* directly (e.g. the
-        shard runtime registering cross-partition barriers or value
-        words on the machine) so such setup still invalidates stale
-        checkpoints the way kernel-registered setup does.
-        """
-        self._setup_hash.update(label.encode())
 
     # -- scheduling helpers used by model handlers -------------------------------
 
@@ -726,7 +699,6 @@ class SimKernel:
         tier: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
-        service=None,
     ) -> SimReport:
         """Run every thread to completion; return measurements.
 
@@ -749,26 +721,9 @@ class SimKernel:
         boundary (the passed ``name`` is ignored in favour of the
         checkpointed one, and ``on_run_start`` is not re-emitted, so the
         combined event stream matches an uninterrupted run).
-
-        ``service`` (interleaved machines only) is a per-cycle callback
-        ``service(cycle) -> next_cycle`` invoked before any issue at
-        every cycle at or past the cycle it last returned (initially
-        cycle 0); idle fast-forward never jumps over a service point,
-        and when no local wake source exists the kernel defers to the
-        service instead of declaring deadlock — the service either
-        wakes threads (external events), advances the clock, or raises.
-        This is the hook the sharded coordinator protocol drives worker
-        kernels through (:mod:`repro.sim.shard`).  The returned cycle
-        must be strictly greater than the argument.
         """
         if budget is None:
             budget = self.model.default_budget
-        if service is not None and self.event_mode:
-            raise ConfigurationError(
-                "service callbacks require an interleaved machine (event-"
-                "discipline threads advance in local time, so there is no "
-                "global cycle to service)"
-            )
         if self.event_mode and len(self.threads) != self.p:
             raise ConfigurationError(
                 f"{len(self.threads)} programs attached but machine has p={self.p}"
@@ -839,8 +794,7 @@ class SimKernel:
                 )
             else:
                 report = self._run_interleaved(
-                    name, budget, fast, checkpoint_every, checkpoint_sink, ctx,
-                    service,
+                    name, budget, fast, checkpoint_every, checkpoint_sink, ctx
                 )
         finally:
             self._resume_ctx = None
@@ -1076,7 +1030,6 @@ class SimKernel:
         ckpt_every: int | None = None,
         ckpt_sink=None,
         ctx: dict | None = None,
-        service=None,
     ) -> SimReport:
         model = self.model
         procs = self.procs
@@ -1117,29 +1070,8 @@ class SimKernel:
         # wherever it binds or exhausts a block.
         threads = self.threads
         in_block = sum(t.fblock is not None for t in threads)
-        # service points: the callback runs before any issue at every
-        # cycle >= svc_next; it returns the next cycle it needs control.
-        # A model handler may pull the next point forward mid-window by
-        # setting ``service_wake`` (e.g. a cross-worker barrier arrival
-        # whose release could land before the granted horizon).
-        svc_next = cycle if service is not None else None
-        self.service_wake = None
 
         while self._live > 0:
-            if svc_next is not None:
-                wake = self.service_wake
-                if wake is not None:
-                    if wake < svc_next:
-                        svc_next = wake
-                    self.service_wake = None
-                if cycle >= svc_next:
-                    self._last_issue = last_issue  # snapshots inside service
-                    svc_next = service(cycle)
-                    if svc_next <= cycle:
-                        raise SimulationError(
-                            f"service returned non-advancing cycle {svc_next}"
-                            f" at cycle {cycle}"
-                        )
             if next_ckpt is not None and cycle >= next_ckpt:
                 self._emit_checkpoint(
                     ckpt_sink, {"cycle": cycle, "last_issue": last_issue}
@@ -1165,10 +1097,8 @@ class SimKernel:
             if fast and in_block == self._live:
                 # fast-forward the pure-LD regime in closed form; the
                 # window ends (or never opens) exactly where per-op
-                # execution must resume.  A pending service point caps
-                # the window so no external event is jumped over.
-                w_budget = budget if svc_next is None else min(budget, svc_next - 1)
-                w = try_ld_window(self, cycle, w_budget)
+                # execution must resume.
+                w = try_ld_window(self, cycle, budget)
                 if w is not None:
                     cycle, last_issue = w
                     in_block = sum(t.fblock is not None for t in threads)
@@ -1279,13 +1209,6 @@ class SimKernel:
                     (proc.wake[0][0] for proc in procs if proc.wake),
                     default=None,
                 )
-                if svc_next is not None:
-                    # never jump past a service point; with no local wake
-                    # source the service is the wake source (external
-                    # events), so deadlock diagnosis is deferred to it
-                    tgt = svc_next if nxt is None else min(nxt, svc_next)
-                    cycle = max(cycle + 1, tgt)
-                    continue
                 if nxt is None:
                     if self._live > 0:
                         self._last_issue = last_issue
@@ -1308,9 +1231,6 @@ class SimKernel:
         )
 
     def _interleaved_barrier(self, t: SimThread, bid: str, cycle: int) -> None:
-        if self.model.owns_barriers:
-            self.model.barrier_op(self, t, bid, cycle)
-            return
         b = self._barriers.get(bid)
         if b is None:
             if self.model.implicit_barriers:

@@ -39,9 +39,6 @@ class MachineSpec:
     kinds: tuple
     #: Name of the auto-registered engine backend (None if opted out).
     backend: str | None
-    #: True when the engine facade accepts ``shards=`` and runs through
-    #: the sharded runtime (:mod:`repro.sim.shard`).
-    shardable: bool = False
 
 
 _MACHINES: dict[str, MachineSpec] = {}
@@ -57,7 +54,6 @@ def register_machine(
     engine_backend: bool = True,
     tiers: tuple = ("interpreted",),
     checkpoint: bool = True,
-    shardable: bool = False,
     replace: bool = False,
 ) -> MachineSpec:
     """Register the machine ``name`` backed by the ``engine`` facade.
@@ -77,11 +73,7 @@ def register_machine(
     listing should not advertise).  ``checkpoint`` declares whether the
     machine model implements the serializable-state contract
     (:meth:`~repro.sim.kernel.MachineModel.to_state`); defaults to True
-    since models derived from the built-ins inherit it.  ``shardable``
-    declares that the facade accepts ``shards=`` (any interleaved
-    machine whose facade derives from
-    :class:`~repro.sim.mta_engine.MTAEngine` does) and is advertised by
-    ``repro backends``.
+    since models derived from the built-ins inherit it.
     """
     if not name:
         raise ConfigurationError("machine name must be non-empty")
@@ -114,7 +106,6 @@ def register_machine(
             hooks=HOOK_EVENTS,
             tiers=tiers,
             checkpoint=checkpoint,
-            shardable=shardable,
             replace=replace,
         )
     spec = MachineSpec(
@@ -124,7 +115,6 @@ def register_machine(
         description=description,
         kinds=tuple(kinds),
         backend=backend_name,
-        shardable=shardable,
     )
     _MACHINES[name] = spec
     return spec
@@ -173,7 +163,6 @@ def ensure_builtin_machines() -> None:
         kinds=("rank", "cc", "chase"),
         description="Cycle-level MTA machine (multithreaded streams)",
         engine_backend=False,
-        shardable=True,
     )
     if "mta-next" not in _MACHINES:
         # Self-registers on import; a no-op if its import is already in

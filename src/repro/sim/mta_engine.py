@@ -57,27 +57,6 @@ from .thread import SimThread, WAIT_EMPTY, WAIT_FULL
 __all__ = ["MTAEngine", "MTAMachine"]
 
 
-def _replay_shard_setup(ctx, ops):
-    """SPMD builder replaying facade-recorded setup on one shard worker.
-
-    The facade records every ``spawn``/``set_counter``/``set_full``/
-    ``set_value``/``register_barrier`` call in order; replaying that one
-    sequence on every worker gives the identical global call order the
-    shard runtime requires (each worker keeps only what it owns).
-    """
-    for kind, a, b in ops:
-        if kind == "spawn":
-            ctx.spawn(a, b)
-        elif kind == "barrier":
-            ctx.register_barrier(a, b)
-        elif kind == "counter":
-            ctx.set_counter(a, b)
-        elif kind == "full":
-            ctx.set_full(a, b)
-        else:  # "value"
-            ctx.set_value(a, b)
-
-
 class MTAMachine(MachineModel):
     """Flat hashed memory + streams + full/empty bits, as a kernel plug-in."""
 
@@ -499,25 +478,6 @@ class MTAEngine:
         :class:`~repro.sim.kernel.SimKernel`).  Both tiers report
         byte-identically; ``"auto"`` vectorizes whenever bank modeling
         is off and no per-op observer is attached.
-    shards:
-        Partition count for the sharded runtime (``repro.sim.shard``),
-        or an explicit :class:`~repro.sim.shard.PartitionPlan`.  With
-        ``shards > 1`` the facade records setup calls instead of
-        building a kernel and :meth:`run` executes them through
-        :func:`~repro.sim.shard.run_sharded` — deterministically, for
-        any ``shard_workers`` count and either executor.  ``shards=1``
-        (default) is the classic single-kernel engine.  See
-        ``docs/SHARDING.md``.
-    shard_workers / shard_executor:
-        Hosting choice for a sharded run: worker count (default one per
-        shard) and ``"inline"`` threads or ``"mp"`` processes.  Results
-        are byte-identical across all of them.
-    shard_words:
-        Address-space size split by the default contiguous plan when
-        ``shards`` is an int (ignored for an explicit plan).
-    remote_latency:
-        One-way cross-shard message latency in cycles (default: the
-        machine's ``mem_latency``).  Requires ``shards > 1``.
     """
 
     #: The MachineModel this facade instantiates; subclasses override.
@@ -533,32 +493,17 @@ class MTAEngine:
         tier="auto",
         session=None,
         record: bool = False,
-        shards=1,
-        shard_workers: int | None = None,
-        shard_executor: str = "inline",
-        shard_words: int = 1 << 20,
-        remote_latency: int | None = None,
         **params,
     ) -> None:
-        plan = None if isinstance(shards, int) else shards
-        k = shards if plan is None else plan.k
-        if plan is None and k < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {k}")
-        if plan is not None or k > 1:
-            self._init_sharded(
-                p, plan, k, tracer, check, hooks, tier, session, record,
-                shard_workers, shard_executor, shard_words, remote_latency,
-                params,
-            )
-            return
-        if remote_latency is not None:
-            raise ConfigurationError("remote_latency requires shards > 1")
-        self._shard = None
-        self.shard_result = None
         # Only caller-supplied parameters reach the machine, so a
         # subclass machine's own defaults (mta-next's latency, stream
-        # budget…) apply; unknown parameters raise from its constructor.
-        self.model = self.machine_class(p, **params)
+        # budget…) apply.
+        try:
+            self.model = self.machine_class(p, **params)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"bad {self.machine_class.kind} engine config: {exc}"
+            ) from None
         self.session = session
         self.kernel = SimKernel(
             self.model,
@@ -569,110 +514,29 @@ class MTAEngine:
             record=record or session is not None,
         )
 
-    def _init_sharded(
-        self, p, plan, k, tracer, check, hooks, tier, session, record,
-        shard_workers, shard_executor, shard_words, remote_latency, params,
-    ) -> None:
-        """Construct in deferred-setup mode: no kernel until :meth:`run`."""
-        if tracer is not None or check is not None or hooks or session is not None or record:
-            raise ConfigurationError(
-                "sharded engines host workers in separate kernels:"
-                " tracer/check/hooks/session/record are not supported with"
-                " shards > 1 (run(collect_events=True) yields the merged"
-                " hook-event stream instead)"
-            )
-        # Reference instance: validates params and serves the config
-        # properties (p, mem_latency, …) the facade has always exposed.
-        self.model = self.machine_class(p, **params)
-        if getattr(self.model, "n_banks", 0):
-            if params.get("n_banks"):
-                raise ConfigurationError(
-                    "bank modeling (n_banks) is incompatible with sharding:"
-                    " shard timing needs the flat hashed-memory model"
-                )
-            params = dict(params, n_banks=0)
-            self.model = self.machine_class(p, **params)
-        if plan is None:
-            from .shard.partition import PartitionPlan
-
-            plan = PartitionPlan(int(shard_words), p, k)
-        elif plan.p != p:
-            raise ConfigurationError(
-                f"partition plan is for p={plan.p}, engine has p={p}"
-            )
-        self.kernel = None
-        self.session = None
-        self._shard = {
-            "plan": plan,
-            "workers": shard_workers,
-            "executor": shard_executor,
-            "remote_latency": remote_latency,
-            "params": dict(params),
-            "tier": tier,
-        }
-        self._setup: list[tuple] = []
-        self._next_proc = 0
-        #: The full :class:`~repro.sim.shard.ShardResult` of the last
-        #: sharded :meth:`run` (merged values/counters, shard counters).
-        self.shard_result = None
-
     # -- setup -----------------------------------------------------------------
 
-    def spawn(self, gen: Generator, proc: int | None = None) -> SimThread | None:
-        """Add a thread; round-robin processor placement unless pinned.
-
-        Sharded engines record the call for replay at :meth:`run` and
-        return None (the thread lives in some worker's kernel); the
-        round-robin placement matches the kernel's exactly.
-        """
-        if self._shard is None:
-            return self.kernel.add_thread(gen, proc)
-        if proc is None:
-            proc = self._next_proc
-            self._next_proc = (self._next_proc + 1) % self.model.p
-        self._setup.append(("spawn", gen, proc))
-        return None
+    def spawn(self, gen: Generator, proc: int | None = None) -> SimThread:
+        """Add a thread; round-robin processor placement unless pinned."""
+        return self.kernel.add_thread(gen, proc)
 
     def register_barrier(self, barrier_id: str, count: int) -> None:
         """Declare that ``count`` threads will meet at ``barrier_id``."""
-        if self._shard is None:
-            self.kernel.register_barrier(barrier_id, count)
-        else:
-            self._setup.append(("barrier", barrier_id, count))
+        self.kernel.register_barrier(barrier_id, count)
 
     def set_full(self, addr: int, value=0) -> None:
         """Pre-set a full/empty word to Full with ``value``."""
-        if self._shard is None:
-            self.kernel.set_full(addr, value)
-        else:
-            self._setup.append(("full", addr, value))
+        self.kernel.set_full(addr, value)
 
     def set_counter(self, addr: int, value: int = 0) -> None:
         """Initialize a fetch-add cell."""
-        if self._shard is None:
-            self.kernel.set_counter(addr, value)
-        else:
-            self._setup.append(("counter", addr, value))
-
-    def set_value(self, addr: int, value) -> None:
-        """Pre-set an engine-owned ``GV``/``PV`` value word (sharded only)."""
-        if self._shard is None:
-            raise ConfigurationError(
-                "value words (GV/PV) are served by the sharded machines:"
-                " construct the engine with shards="
-            )
-        self._setup.append(("value", addr, value))
+        self.kernel.set_counter(addr, value)
 
     # -- run --------------------------------------------------------------------
 
     def resume(self, state: dict) -> None:
         """Restore a kernel snapshot (spawn the same programs first);
         the next :meth:`run` continues from the checkpointed boundary."""
-        if self._shard is not None:
-            raise ConfigurationError(
-                "sharded runs resume from a coordinator checkpoint"
-                " directory: pass resume= to run()"
-            )
         self.kernel.resume(state)
 
     def run(
@@ -684,9 +548,6 @@ class MTAEngine:
         tier: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
-        checkpoint: dict | None = None,
-        resume: str | None = None,
-        collect_events: bool = False,
     ):
         """Execute until every spawned thread finishes; return measurements.
 
@@ -695,70 +556,17 @@ class MTAEngine:
         overrides the engine's configured execution tier for this run.
         ``checkpoint_every``/``checkpoint_sink`` pass through to
         :meth:`SimKernel.run` (ignored when a session manages the run).
-
-        Sharded engines instead accept ``checkpoint=`` (a coordinator
-        spec: ``{"dir": path, "every": cycles}``), ``resume=`` (such a
-        directory) and ``collect_events=``; the merged
-        :class:`~repro.sim.shard.ShardResult` lands on
-        :attr:`shard_result` and the merged report is returned.
         """
         budget = budget if budget is not None else max_cycles
-        if self._shard is None:
-            if checkpoint is not None or resume is not None or collect_events:
-                raise ConfigurationError(
-                    "checkpoint=/resume=/collect_events= apply to sharded"
-                    " runs; unsharded engines use checkpoint_every/"
-                    "checkpoint_sink or a session"
-                )
-            if self.session is not None:
-                return self.session.run(self.kernel, name, budget=budget, tier=tier)
-            return self.kernel.run(
-                name,
-                budget=budget,
-                tier=tier,
-                checkpoint_every=checkpoint_every,
-                checkpoint_sink=checkpoint_sink,
-            )
-        if checkpoint_every is not None or checkpoint_sink is not None:
-            raise ConfigurationError(
-                "sharded runs checkpoint through the coordinator: pass"
-                " checkpoint={'dir': ..., 'every': ...} instead of"
-                " checkpoint_every/checkpoint_sink"
-            )
-        from .shard.coordinator import run_sharded
-
-        cfg = self._shard
-        res = run_sharded(
-            cfg["plan"],
-            workers=cfg["workers"],
-            executor=cfg["executor"],
-            builder=_replay_shard_setup,
-            builder_args=(self._setup,),
-            base=self.machine_class,
-            params=cfg["params"],
-            remote_latency=cfg["remote_latency"],
-            name=name,
+        if self.session is not None:
+            return self.session.run(self.kernel, name, budget=budget, tier=tier)
+        return self.kernel.run(
+            name,
             budget=budget,
-            tier=tier if tier is not None else cfg["tier"],
-            collect_events=collect_events,
-            checkpoint=checkpoint,
-            resume=resume,
+            tier=tier,
+            checkpoint_every=checkpoint_every,
+            checkpoint_sink=checkpoint_sink,
         )
-        self.shard_result = res
-        # surface the merged machine state through the usual properties
-        self.model.fa_values.update(res.counters)
-        self.model._full.update(res.full)
-        return res.report
-
-    @property
-    def shards(self) -> int:
-        """Partition count (1 for the classic single-kernel engine)."""
-        return 1 if self._shard is None else self._shard["plan"].k
-
-    @property
-    def shard_detail(self) -> dict | None:
-        """Shard-runtime counters of the last sharded run (or None)."""
-        return None if self.shard_result is None else self.shard_result.detail
 
     # -- public state the historical engine exposed -----------------------------
 

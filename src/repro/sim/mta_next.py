@@ -82,8 +82,5 @@ register_machine(
     scheduling=INTERLEAVED,
     kinds=("rank", "cc", "chase"),
     description="Hypothetical commodity-parts Cray: banked high-latency memory, 64 streams",
-    # shardable: the facade inherits MTAEngine's shards=; sharded runs
-    # drop the banked default (flat memory only — see docs/SHARDING.md)
-    shardable=True,
     replace=True,
 )

@@ -247,17 +247,7 @@ class SMPEngine:
         tier: str = "auto",
         session=None,
         record: bool = False,
-        shards: int = 1,
     ) -> None:
-        if shards != 1:
-            # The sharded runtime models cross-shard traffic as flat
-            # remote-latency messages — meaningless for the bus/cache
-            # machine, whose cost model is contention on shared media.
-            raise ConfigurationError(
-                f"the SMP engine does not shard (shards={shards});"
-                " only shards=1 is accepted — sharding needs a flat"
-                " hashed-memory machine (mta, mta-next)"
-            )
         self.model = SMPMachine(p, config)
         self.session = session
         self.kernel = SimKernel(

@@ -14,7 +14,6 @@ BLOCKED = "blocked"  # waiting on a completion time (memory, barrier release)
 WAIT_FULL = "wait-full"  # sync load on an Empty word
 WAIT_EMPTY = "wait-empty"  # sync store on a Full word
 WAIT_BARRIER = "wait-barrier"
-WAIT_REMOTE = "wait-remote"  # reply pending from a remote shard (repro.sim.shard)
 DONE = "done"
 
 

@@ -166,61 +166,36 @@ class TestAnalyticConfigOverrides:
         assert dataclasses.is_dataclass(a.config)
 
 
-class TestShardedExecution:
-    """The ``shards`` workload option through the backend layer."""
+class TestEngineOptionErrors:
+    """Bad engine options fail as structured configuration errors."""
 
-    def _cc(self, **options):
-        return Workload(
-            "cc", 4, 1, {"graph": "random", "n": 48, "m": 128},
-            {"streams_per_proc": 8, "edges_per_chunk": 8, "max_iter": 16,
-             "shard_executor": "inline", **options},
-        )
+    ENGINES = ("smp-engine", "mta-engine", "mta-next-engine")
 
-    def test_registry_capability_flags(self):
-        rows = {r["name"]: r for r in describe()}
-        assert rows["mta-engine"]["shardable"]
-        assert rows["mta-next-engine"]["shardable"]
-        assert not rows["smp-engine"]["shardable"]
-        assert not rows["mta-model"]["shardable"]
-
-    def test_cc_sharded_reports_shard_detail(self):
-        plain = create("mta-engine").run(self._cc())
-        sharded = create("mta-engine").run(self._cc(shards=2))
-        assert sharded.detail["shards"] == 2
-        assert sharded.detail["shard"]["msgs_sent"] > 0
-        assert sharded.detail["shard"]["k"] == 2
-        assert sharded.detail["iterations"] >= 1
-        # same input description in both summaries
-        assert (sharded.detail["n"], sharded.detail["m"]) == (
-            plain.detail["n"], plain.detail["m"])
-
-    def test_chase_sharded_matches_unsharded(self):
-        w = Workload("chase", 4, 0, {"chasers": 4},
-                     {"steps": 4, "streams_per_proc": 8,
-                      "shard_executor": "inline"})
-        plain = create("mta-engine").run(w)
-        ws = Workload("chase", 4, 0, {"chasers": 4},
-                      {"steps": 4, "streams_per_proc": 8,
-                       "shard_executor": "inline", "shards": 4})
-        sharded = create("mta-engine").run(ws)
-        # pointer chases are all remote-capable loads; with the default
-        # remote latency equal to mem latency the cycles must agree
-        assert sharded.cycles == plain.cycles
-        assert sharded.detail["shards"] == 4
-
-    def test_smp_engine_rejects_shards(self):
+    @pytest.mark.parametrize("backend", ENGINES)
+    @pytest.mark.parametrize(
+        "option, value",
+        [("shards", 2), ("shard_workers", 2), ("shard_executor", "inline"),
+         ("remote_latency", 50)],
+    )
+    def test_retired_shard_options_rejected(self, backend, option, value):
         w = Workload("cc", 4, 1, {"graph": "random", "n": 48, "m": 128},
-                     {"shards": 2})
-        with pytest.raises(ConfigurationError):
-            create("smp-engine").run(w)
+                     {option: value})
+        with pytest.raises(ConfigurationError, match="sharded runtime was removed"):
+            create(backend).run(w)
 
-    def test_rank_rejects_shards(self):
-        w = Workload("rank", 4, 1, {"n": 128, "list": "random"},
-                     {"shards": 2, "streams_per_proc": 8})
-        with pytest.raises(ConfigurationError):
-            create("mta-engine").run(w)
+    def _rank(self, engine_kwargs):
+        return Workload("rank", 2, 1, {"n": 64, "list": "random"},
+                        {"streams_per_proc": 8, "engine_kwargs": engine_kwargs})
 
-    def test_check_rejects_shards(self):
-        w = self._cc(shards=2, check=True)
-        with pytest.raises(ConfigurationError):
-            create("mta-engine").run(w)
+    @pytest.mark.parametrize(
+        "backend, machine", [("mta-engine", "mta"), ("mta-next-engine", "mta-next")]
+    )
+    def test_unknown_engine_kwarg_names_the_machine(self, backend, machine):
+        with pytest.raises(ConfigurationError, match=f"bad {machine} engine config"):
+            create(backend).run(self._rank({"bogus": 1}))
+
+    @pytest.mark.parametrize("backend", ["mta-engine", "mta-next-engine"])
+    @pytest.mark.parametrize("engine_kwargs", [5, "mem_latency=5", [1, 2]])
+    def test_non_mapping_engine_kwargs_rejected(self, backend, engine_kwargs):
+        with pytest.raises(ConfigurationError, match="engine_kwargs must be a mapping"):
+            create(backend).run(self._rank(engine_kwargs))

@@ -223,6 +223,20 @@ class TestRunCommand:
         ) == 2
         assert "expected K=V" in capsys.readouterr().err
 
+    def test_retired_shards_option_is_config_error(self, capsys):
+        assert main(
+            ["run", "--workload", "cc", "--backend", "mta-engine",
+             "--n", "64", "--opt", "shards=2", "--no-cache"]
+        ) == 2
+        assert "sharded runtime was removed" in capsys.readouterr().err
+
+    def test_scalar_engine_kwargs_is_config_error(self, capsys):
+        assert main(
+            ["run", "--workload", "rank", "--backend", "mta-engine",
+             "--n", "64", "--opt", "engine_kwargs=5", "--no-cache"]
+        ) == 2
+        assert "engine_kwargs must be a mapping" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_tiny_sweep_runs_and_reruns_byte_identical(self, tmp_path, capsys):
@@ -269,13 +283,6 @@ class TestSweepCommand:
 class TestFlagValidation:
     """Count-valued flags reject values < 1 with a structured CLI error."""
 
-    def test_run_shards_must_be_positive(self, capsys):
-        assert main(
-            ["run", "--workload", "cc", "--backend", "mta-engine",
-             "--n", "64", "--shards", "0", "--no-cache"]
-        ) == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
-
     def test_sweep_workers_must_be_positive(self, capsys):
         assert main(
             ["sweep", "--spec", "fig1-tiny", "--workers", "0", "--no-cache"]
@@ -288,32 +295,3 @@ class TestFlagValidation:
              "--n", "64", "--checkpoint-every", "0", "--no-cache"]
         ) == 2
         assert "--checkpoint-every must be >= 1" in capsys.readouterr().err
-
-
-class TestShardedRun:
-    def test_backends_table_shows_shard_capability(self, capsys):
-        import json
-
-        assert main(["backends", "--json"]) == 0
-        rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
-        assert rows["mta-engine"]["shardable"]
-        assert rows["mta-next-engine"]["shardable"]
-        assert not rows["smp-engine"]["shardable"]
-        assert main(["backends"]) == 0
-        assert "shard" in capsys.readouterr().out
-
-    def test_run_cc_sharded(self, capsys):
-        import json
-
-        assert main(
-            ["run", "--workload", "cc", "--backend", "mta-engine",
-             "--n", "64", "--p", "4", "--param", "m=192",
-             "--shards", "2", "--opt", "shard_executor=inline",
-             "--opt", "streams_per_proc=8", "--opt", "edges_per_chunk=8",
-             "--json", "--no-cache"]
-        ) == 0
-        record = json.loads(capsys.readouterr().out)
-        detail = record["summary"]["detail"]
-        assert detail["shards"] == 2
-        assert detail["shard"]["msgs_sent"] > 0
-        assert record["workload"]["options"]["shards"] == 2

@@ -470,25 +470,3 @@ class TestCliSubmit:
              "--backend", "smp-model"]
         ) == 2
         assert "failed" in capsys.readouterr().err
-
-
-class TestShardMetrics:
-    """Shard-runtime counters fold into the service metrics snapshot."""
-
-    def test_record_shard_traffic(self):
-        from repro.service.metrics import ServiceMetrics
-
-        m = ServiceMetrics()
-        m.record_shard_traffic(None)  # unsharded results are no-ops
-        m.record_shard_traffic({})
-        m.record_shard_traffic(
-            {"rounds": 7, "msgs_routed": 120, "checkpoints": 1})
-        m.record_shard_traffic(
-            {"rounds": 3, "msgs_routed": 10, "checkpoints": 0})
-        counters = m.snapshot(
-            queue_depth=0, in_flight=0, jobs_tracked=0, draining=False
-        )["counters"]
-        assert counters["shard_runs"] == 2
-        assert counters["shard_rounds"] == 10
-        assert counters["shard_msgs_routed"] == 130
-        assert counters["shard_checkpoints"] == 1

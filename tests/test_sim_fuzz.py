@@ -312,193 +312,6 @@ def test_differential_tiers_byte_identical(machine, seed_block):
         )
 
 
-# ---------------------------------------------------------------------------
-# Sharded differential fuzzing: the repro.sim.shard equivalence contract
-# ---------------------------------------------------------------------------
-#
-# Random matched programs run unsharded and at shards ∈ {1, 2, 4}:
-#
-# * with every *stateful* reference (fetch-add, sync words) kept
-#   partition-local and remote_latency == mem_latency, every shard/worker
-#   combination must be byte-identical to the unsharded kernel — reports
-#   AND hook event streams;
-# * with cross-partition stateful traffic (plus GV/PV value words), the
-#   result must be identical across worker counts at a fixed shard count.
-
-_SHARD_WORDS = 4000
-_SHARD_P = 4  # proc j owns partition j at k=4; nested contiguously at k=2
-
-
-def _shard_fuzz_case(rng, cross: bool):
-    """Case data: machine params, programs pinned to home partitions,
-    counters/sync cells to initialize, and an optional global barrier."""
-    params = {
-        "streams_per_proc": 16,
-        "mem_latency": int(rng.integers(1, 30)),
-        "lookahead": int(rng.integers(0, 4)),
-        "max_outstanding": int(rng.integers(1, 5)),
-    }
-    n_progs = int(rng.integers(2, 8))
-    with_barrier = bool(rng.integers(0, 2))
-    counters = {}
-    values = {}
-    progs = []
-    for _ in range(n_progs):
-        home = int(rng.integers(0, 4))
-        lo = 1000 * home
-        ops = []
-        for _ in range(int(rng.integers(1, 12))):
-            c = int(rng.integers(0, 7 if cross else 5))
-            if c == 0:
-                ops.append(isa.compute(int(rng.integers(1, 5))))
-            elif c == 1:
-                ops.append(isa.load(int(rng.integers(0, _SHARD_WORDS))))
-            elif c == 2:
-                ops.append(isa.load_dep(int(rng.integers(0, _SHARD_WORDS))))
-            elif c == 3:
-                ops.append(isa.store(int(rng.integers(0, _SHARD_WORDS))))
-            elif c == 4:
-                base = int(rng.integers(0, 4)) * 1000 if cross else lo
-                cell = base + int(rng.integers(0, 8))
-                counters[cell] = 0
-                ops.append(isa.fetch_add(cell, int(rng.integers(-3, 4))))
-            elif c == 5:
-                addr = int(rng.integers(0, 4)) * 1000 + 100 + int(rng.integers(0, 8))
-                values[addr] = int(rng.integers(0, 50))
-                ops.append(isa.get_value(addr))
-            else:
-                addr = int(rng.integers(0, 4)) * 1000 + 100 + int(rng.integers(0, 8))
-                values[addr] = 0
-                ops.append(isa.put_value(addr, int(rng.integers(0, 50))))
-        if with_barrier:
-            ops.insert(int(rng.integers(0, len(ops) + 1)), isa.barrier("bz"))
-        progs.append((ops, home))
-    pairs = []
-    for k in range(int(rng.integers(0, 3))):
-        home = int(rng.integers(0, 4))
-        addr = 1000 * home + 900 + k
-        consumer_proc = int(rng.integers(0, 4)) if cross else home
-        pairs.append((addr, k, int(rng.integers(1, 9)),
-                      int(rng.integers(1, 9)), home, consumer_proc))
-    return {
-        "params": params,
-        "progs": progs,
-        "with_barrier": with_barrier,
-        "counters": counters,
-        "values": values,
-        "pairs": pairs,
-    }
-
-
-def _apply_shard_case(ctx, case, *, sharded: bool):
-    """Replay one case through a builder context (worker or engine)."""
-
-    def producer(addr, value, delay):
-        yield isa.compute(delay)
-        yield isa.sync_store(addr, value)
-
-    def consumer(addr, delay):
-        yield isa.compute(delay)
-        v = yield isa.sync_load_consume(addr)
-        del v
-
-    for cell, value in sorted(case["counters"].items()):
-        ctx.set_counter(cell, value)
-    if sharded:
-        for addr, value in sorted(case["values"].items()):
-            ctx.set_value(addr, value)
-    if case["with_barrier"]:
-        ctx.register_barrier("bz", len(case["progs"]))
-    for ops, proc in case["progs"]:
-        ctx.spawn(_gen_of(ops), proc)
-    for addr, value, d1, d2, home, cproc in case["pairs"]:
-        ctx.spawn(producer(addr, value, d1), home)
-        ctx.spawn(consumer(addr, d2), cproc)
-
-
-class _UnshardedCtx:
-    """Builder-context shim over a plain MTAEngine."""
-
-    def __init__(self, eng):
-        self.eng = eng
-
-    def spawn(self, gen, proc):
-        self.eng.spawn(gen, proc=proc)
-
-    def set_counter(self, addr, value=0):
-        self.eng.set_counter(addr, value)
-
-    def register_barrier(self, bid, count):
-        self.eng.register_barrier(bid, count)
-
-
-def _run_shard_fuzz_unsharded(seed: int, *, events: bool):
-    from repro.sim.shard.eventlog import ShardEventLog
-
-    rng = np.random.default_rng(seed)
-    case = _shard_fuzz_case(rng, cross=False)
-    log = ShardEventLog() if events else None
-    eng = MTAEngine(_SHARD_P, hooks=(log,) if log else (), **case["params"])
-    _apply_shard_case(_UnshardedCtx(eng), case, sharded=False)
-    report = eng.run("fuzz", 10_000_000)
-    return _report_blob(report), (log.canonical() if log else None)
-
-
-def _run_shard_fuzz_sharded(seed: int, k: int, workers: int, *,
-                            cross: bool, events: bool):
-    from repro.sim.shard import PartitionPlan, run_sharded
-
-    rng = np.random.default_rng(seed)
-    case = _shard_fuzz_case(rng, cross=cross)
-    plan = PartitionPlan(_SHARD_WORDS, _SHARD_P, k)
-    res = run_sharded(
-        plan,
-        workers=workers,
-        builder=lambda ctx: _apply_shard_case(ctx, case, sharded=True),
-        params=case["params"],
-        name="fuzz",
-        budget=10_000_000,
-        collect_events=events,
-    )
-    return _report_blob(res.report), (res.events if events else None)
-
-
-@pytest.mark.parametrize("seed", range(0, 12) if _REPLAY is None else [int(_REPLAY)])
-def test_shard_fuzz_local_matches_unsharded(seed):
-    """Partition-local stateful refs + R == mem_latency: every shard and
-    worker count reproduces the unsharded kernel byte for byte."""
-    events = seed < 4  # per-op hooks are slow; sample the stream check
-    ref_blob, ref_events = _run_shard_fuzz_unsharded(seed, events=events)
-    for k, workers in ((1, 1), (2, 1), (2, 2), (4, 2), (4, 4)):
-        blob, evs = _run_shard_fuzz_sharded(
-            seed, k, workers, cross=False, events=events
-        )
-        assert blob == ref_blob, (
-            f"shard divergence seed={seed} k={k} W={workers}; replay with:\n"
-            f"  REPRO_FUZZ_SEED={seed} PYTHONPATH=src python -m pytest "
-            f"tests/test_sim_fuzz.py -k shard_fuzz_local"
-        )
-        if events:
-            assert evs == ref_events, (
-                f"event-stream divergence seed={seed} k={k} W={workers}"
-            )
-
-
-@pytest.mark.parametrize("seed", range(0, 8) if _REPLAY is None else [int(_REPLAY)])
-def test_shard_fuzz_cross_traffic_worker_invariant(seed):
-    """Cross-partition fetch-adds, sync pairs, and GV/PV value words:
-    at a fixed shard count the result is worker-count invariant."""
-    base, _ = _run_shard_fuzz_sharded(seed, 4, 1, cross=True, events=False)
-    for workers in (2, 4):
-        blob, _ = _run_shard_fuzz_sharded(seed, 4, workers, cross=True,
-                                          events=False)
-        assert blob == base, (
-            f"worker-count divergence seed={seed} W={workers}; replay with:\n"
-            f"  REPRO_FUZZ_SEED={seed} PYTHONPATH=src python -m pytest "
-            f"tests/test_sim_fuzz.py -k shard_fuzz_cross"
-        )
-
-
 def test_differential_fuzz_exercises_ld_windows():
     """The fuzz corpus actually drives the MTA fast-forward (a corpus
     whose windows never fire would vacuously pass the differential

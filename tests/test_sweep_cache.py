@@ -127,13 +127,13 @@ class TestWarmRerunExecutesNothing:
         on_disk = json.loads(cache._path(cold.key).read_text(encoding="utf-8"))
         assert on_disk == cold.record
 
-    def test_key_depends_on_shard_count(self):
+    def test_key_depends_on_workload_options(self):
         a = Workload("cc", 4, 0, {"n": 64, "m": 192, "graph": "random"})
         b = Workload("cc", 4, 0,
                      {"n": 64, "m": 192, "graph": "random"},
-                     options={"shards": 2})
+                     options={"streams_per_proc": 8})
         c = Workload("cc", 4, 0,
                      {"n": 64, "m": 192, "graph": "random"},
-                     options={"shards": 4})
+                     options={"streams_per_proc": 16})
         keys = {Job(w, "mta-engine").key() for w in (a, b, c)}
         assert len(keys) == 3
