@@ -147,11 +147,11 @@ def _run_smp(workload: str, n_ops: int) -> dict:
         eng.set_counter(7, 0)
     for k in range(p):
         if workload == "compute":
-            eng.attach(_compute_prog(per))
+            eng.spawn(_compute_prog(per))
         elif workload == "memory":
-            eng.attach(_memory_prog(per, base=k * 1_000_000))
+            eng.spawn(_memory_prog(per, base=k * 1_000_000))
         else:
-            eng.attach(_mixed_prog(per, ctr=7, base=k * 1_000_000))
+            eng.spawn(_mixed_prog(per, ctr=7, base=k * 1_000_000))
     t0 = time.perf_counter()
     report = eng.run(workload)
     dt = time.perf_counter() - t0

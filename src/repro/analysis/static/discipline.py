@@ -36,9 +36,12 @@ from .base import ModuleContext, Rule, call_name
 BANNED_CONSTRUCTORS = (
     "SMPMachine",
     "MTAMachine",
+    "MTANextMachine",
     "ClusterMachine",
+    "Engine",
     "SMPEngine",
     "MTAEngine",
+    "MTANextEngine",
 )
 
 #: Modules whose per-op interpreter loops must stay instrumentation-free.

@@ -1,15 +1,18 @@
 """Backend registry: one interface over every execution stack.
 
-The five built-in backends (three analytic machine models, two
-cycle-level engines) are registered at import; ``repro backends``
-lists them and :func:`create` instantiates by name.  Third-party
-machines register the same way — see ``examples/custom_machine.py``
-and ``docs/BACKENDS.md``.
+The built-in backends (three analytic machine models, three
+cycle-level engines and the ``cost-xval`` pairing) are registered at
+import; ``repro backends`` lists them and :func:`create` instantiates
+by name.  Third-party machines register the same way — with
+:func:`register`, or :func:`register_machine` for an interleaved
+cycle-level machine; see ``examples/custom_machine.py`` and
+``docs/BACKENDS.md``.
 """
 
 from __future__ import annotations
 
 from .base import Backend, RunHandle, Workload, canonical_json
+from .engine import register_machine
 from .inputs import clear_memo, input_for
 from .kernels import algorithms_for
 from .registry import backend, create, describe, names, register
@@ -23,6 +26,7 @@ __all__ = [
     "clear_memo",
     "algorithms_for",
     "register",
+    "register_machine",
     "backend",
     "create",
     "names",
@@ -31,13 +35,11 @@ __all__ = [
 
 
 def _register_builtins() -> None:
-    # Importing repro.sim may itself re-enter this package (machine
-    # registration auto-registers backends), so it happens first and
-    # everything below tolerates either import order.
     from ..sim.hooks import HOOK_EVENTS
-    from ..sim.machines import ensure_builtin_machines
+    from ..sim.mta_engine import MTAEngine
+    from ..sim.mta_next import MTANextEngine
     from .analytic import make_cluster_model, make_mta_model, make_smp_model
-    from .engine import make_mta_engine, make_smp_engine
+    from .engine import SMPEngineBackend
     from .xval import make_cost_xval
 
     register(
@@ -63,27 +65,26 @@ def _register_builtins() -> None:
     )
     register(
         "smp-engine",
-        make_smp_engine,
+        SMPEngineBackend,
         level="engine",
-        kinds=("rank", "cc"),
-        description="Cycle-level SMP engine (simulated caches + bus)",
+        kinds=SMPEngineBackend.kinds,
+        description=SMPEngineBackend.description,
         machine="smp",
         hooks=HOOK_EVENTS,
         tiers=("interpreted", "vector"),
         checkpoint=True,
         xval=True,
     )
-    register(
-        "mta-engine",
-        make_mta_engine,
-        level="engine",
-        kinds=("rank", "cc", "chase"),
+    register_machine(
+        "mta",
+        MTAEngine,
         description="Cycle-level MTA engine (multithreaded streams)",
-        machine="mta",
-        hooks=HOOK_EVENTS,
-        tiers=("interpreted", "vector"),
-        checkpoint=True,
         xval=True,
+    )
+    register_machine(
+        "mta-next",
+        MTANextEngine,
+        description="Hypothetical commodity-parts Cray: banked high-latency memory, 64 streams",
     )
     register(
         "cost-xval",
@@ -93,9 +94,6 @@ def _register_builtins() -> None:
         description="Model-vs-engine per-phase divergence (repro.xval)",
         xval=True,
     )
-    # Register the built-in machine models (and, through the machine
-    # registry's auto-registration, the mta-next engine backend).
-    ensure_builtin_machines()
 
 
 _register_builtins()

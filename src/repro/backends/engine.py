@@ -50,18 +50,14 @@ field overrides for the SMP engine; ``collect_phases`` is implicit
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Mapping
 
 from ..errors import ConfigurationError
 from .base import Backend, RunHandle
+from .registry import register
 
-__all__ = [
-    "SMPEngineBackend",
-    "MTAEngineBackend",
-    "ModelEngineBackend",
-    "make_smp_engine",
-    "make_mta_engine",
-]
+__all__ = ["SMPEngineBackend", "MTAEngineBackend", "register_machine"]
 
 
 class SMPEngineBackend(Backend):
@@ -109,32 +105,24 @@ class SMPEngineBackend(Backend):
                 config=self.config, check=check, tier=tier, session=session,
                 variant=opt.get("variant"),
             )
-        _note_resume(session)
-        summary = sim.summary
-        summary.detail.update(handle.meta)
-        summary.detail["backend"] = self.name
-        if hasattr(sim, "iterations"):
-            summary.detail["iterations"] = int(sim.iterations)
-        if attach_summary:
-            summary.detail["analysis"] = check.report().summary_dict()
-        return summary
+        return _finish(
+            self.name, handle, sim.summary, session, check, attach_summary,
+            iterations=getattr(sim, "iterations", None),
+        )
 
 
 class MTAEngineBackend(Backend):
-    """Cycle-accurate MTA simulation (stream interleaving, full/empty bits)."""
+    """Cycle-accurate simulation of the MTA thread programs (stream
+    interleaving, full/empty bits) on an interleaved machine's
+    ``engine``; built by :func:`register_machine`."""
 
-    name = "mta-engine"
     level = "engine"
     kinds = ("rank", "cc", "chase")
-    description = "Cycle-level MTA engine (multithreaded streams)"
 
-    #: Engine facade the thread programs construct; ``None`` means the
-    #: stock :class:`~repro.sim.MTAEngine`.  :class:`ModelEngineBackend`
-    #: points this at a registered machine's facade instead.
-    engine_factory = None
-
-    def __init__(self):
-        pass
+    def __init__(self, *, name, engine, description):
+        self.name = name
+        self.engine = engine
+        self.description = description
 
     def execute(self, handle: RunHandle, check=None):
         workload = handle.workload
@@ -163,7 +151,7 @@ class MTAEngineBackend(Backend):
                 dynamic=bool(opt.get("dynamic", True)),
                 engine_kwargs=engine_kwargs,
                 check=check,
-                engine=self.engine_factory,
+                engine=self.engine,
                 session=session,
             )
         else:
@@ -177,25 +165,20 @@ class MTAEngineBackend(Backend):
                 max_iter=int(opt.get("max_iter", 64)),
                 engine_kwargs=engine_kwargs,
                 check=check,
-                engine=self.engine_factory,
+                engine=self.engine,
                 session=session,
             )
-        _note_resume(session)
-        summary = sim.summary
-        summary.detail.update(handle.meta)
-        summary.detail["backend"] = self.name
-        if hasattr(sim, "iterations"):
-            summary.detail["iterations"] = int(sim.iterations)
-        if attach_summary:
-            summary.detail["analysis"] = check.report().summary_dict()
-        return summary
+        return _finish(
+            self.name, handle, sim.summary, session, check, attach_summary,
+            iterations=getattr(sim, "iterations", None),
+        )
 
     def _execute_chase(self, handle: RunHandle, check=None, attach_summary=False):
         """The latency-hiding saturation microbenchmark: ``chasers``
         streams each alternating one compute with two dependent loads —
         the access pattern of a list walk."""
         from ..obs.summary import RunSummary
-        from ..sim import MTAEngine, isa
+        from ..sim import isa
 
         workload = handle.workload
         opt = workload.options
@@ -208,9 +191,8 @@ class MTAEngineBackend(Backend):
                 yield isa.load_dep(i)
                 yield isa.load_dep(100_000 + i)
 
-        engine = self.engine_factory or MTAEngine
         session = _resolve_session(workload, self.name, check)
-        eng = engine(
+        eng = self.engine(
             p=workload.p,
             streams_per_proc=int(opt.get("streams_per_proc", 128)),
             mem_latency=int(opt.get("mem_latency", 100)),
@@ -222,31 +204,55 @@ class MTAEngineBackend(Backend):
         for _ in range(chasers):
             eng.spawn(_chaser())
         report = eng.run(name="chase")
-        _note_resume(session)
         summary = RunSummary.from_report(report, machine=self.name)
         summary.name = "chase"
-        summary.detail.update(handle.meta)
-        summary.detail["backend"] = self.name
-        if attach_summary:
-            summary.detail["analysis"] = check.report().summary_dict()
-        return summary
+        return _finish(self.name, handle, summary, session, check, attach_summary)
 
 
-class ModelEngineBackend(MTAEngineBackend):
-    """Engine backend synthesized from a registered machine model.
+def _finish(backend_name, handle, summary, session, check, attach_summary, iterations=None):
+    """The tail every engine run shares: note a resume, then stamp input
+    metadata, backend, iterations and (option-driven checkers) the
+    analysis summary into ``summary.detail``.  Callers read a
+    ``simulate_*`` result's ``summary`` property once: each access
+    builds a new :class:`~repro.obs.RunSummary`."""
+    _note_resume(session)
+    summary.detail.update(handle.meta)
+    summary.detail["backend"] = backend_name
+    if iterations is not None:
+        summary.detail["iterations"] = int(iterations)
+    if attach_summary:
+        summary.detail["analysis"] = check.report().summary_dict()
+    return summary
 
-    :func:`repro.sim.machines.register_machine` builds one of these for
-    every machine that opts into backend auto-registration: the same
-    MTA thread programs (``rank``, ``cc``, ``chase``) run unmodified,
-    constructing the machine's engine facade instead of the stock
-    :class:`~repro.sim.MTAEngine`.  The facade must therefore be
-    MTAEngine-compatible (interleaved scheduling, ``spawn``/``run``).
+
+def register_machine(name: str, engine, *, description: str = "", xval: bool = False):
+    """Register ``"<name>-engine"``: the MTA thread programs on the
+    interleaved machine behind ``engine`` (an
+    :class:`~repro.sim.kernel.Engine` subclass).
+
+    Its tiers and checkpoint support are read off a default one-processor
+    machine (``vector_profile()``, ``checkpointable``); ``xval`` marks a
+    machine with an analytic counterpart in :mod:`repro.xval`.  A taken
+    name raises :class:`~repro.errors.ConfigurationError`.
     """
+    from ..sim.hooks import HOOK_EVENTS
 
-    def __init__(self, *, name, engine_factory, description=""):
-        self.name = name
-        self.description = description
-        self.engine_factory = engine_factory
+    model = engine.machine_class(1)
+    backend_name = f"{name}-engine"
+    register(
+        backend_name,
+        functools.partial(
+            MTAEngineBackend, name=backend_name, engine=engine, description=description
+        ),
+        level="engine",
+        kinds=MTAEngineBackend.kinds,
+        description=description,
+        machine=name,
+        hooks=HOOK_EVENTS,
+        tiers=("interpreted",) if model.vector_profile() is None else ("interpreted", "vector"),
+        checkpoint=model.checkpointable,
+        xval=xval,
+    )
 
 
 #: Workload options of the sharded runtime, which no longer exists.
@@ -377,10 +383,3 @@ def _resolve_tier(workload, check) -> str:
         return "interpreted"
     return tier
 
-
-def make_smp_engine(*, config=None):
-    return SMPEngineBackend(config=config)
-
-
-def make_mta_engine():
-    return MTAEngineBackend()

@@ -27,8 +27,9 @@ class _Entry:
     level: str
     kinds: tuple
     description: str
-    #: Machine model behind the backend ("" for analytic models; see
-    #: repro.sim.machines for the machine registry itself).
+    #: Machine model behind the backend ("" for analytic models; engine
+    #: backends of interleaved machines register through
+    #: repro.backends.register_machine).
     machine: str = ""
     #: HookBus events the backend's execution path can deliver
     #: (empty for analytic models, which run no instruction streams).

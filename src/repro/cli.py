@@ -518,6 +518,16 @@ def _positive(flag: str, value):
     return value
 
 
+def _check_out_dir(flag: str, path) -> None:
+    """Reject an output path in a missing directory before any work runs
+    (the write comes last).  ``-`` (stdout) and None are exempt."""
+    directory = os.path.dirname(path or "") or "."
+    if path != "-" and not os.path.isdir(directory):
+        from .errors import ConfigurationError
+
+        raise ConfigurationError(f"{flag} {path}: output directory {directory} does not exist")
+
+
 def _checkpoint_spec(args) -> dict | None:
     """The ``checkpoint=`` spec for run_jobs from CLI flags (or None)."""
     spec: dict = {}
@@ -680,6 +690,7 @@ def _cmd_table1(args) -> int:
 def _cmd_trace(args) -> int:
     from .obs import ContentionProfile, Tracer, write_chrome_trace, write_jsonl
 
+    _check_out_dir("--out", args.out)
     tracer = Tracer(level=args.level)
     if args.workload == "rank-mta":
         from .lists import random_list, true_ranks
@@ -968,6 +979,7 @@ def _cmd_xval(args) -> int:
     from .core.runner import Job, run_jobs
     from .xval import DivergenceReport
 
+    _check_out_dir("--jsonl", args.jsonl)
     options = {"machine": args.machine, "max_iter": args.max_iter}
     if args.variant is not None:
         options["variant"] = args.variant
@@ -1034,6 +1046,7 @@ def _cmd_analyze(args) -> int:
     from .backends import Workload
     from .errors import ConfigurationError
 
+    _check_out_dir("--jsonl", args.jsonl)
     if args.all_programs:
         if args.workload is not None:
             raise ConfigurationError("--all and --workload are mutually exclusive")
@@ -1096,6 +1109,7 @@ def _cmd_lint(args) -> int:
     )
 
     if args.write_state_baseline:
+        _check_out_dir("--state-baseline", args.state_baseline)
         path = args.state_baseline or _os.path.join(repo_root(), STATE_BASELINE_PATH)
         text = collect_state_baseline(args.paths)
         with open(path, "w", encoding="utf-8") as f:
@@ -1103,6 +1117,7 @@ def _cmd_lint(args) -> int:
         print(f"wrote state-contract baseline: {path}")
         return 0
 
+    _check_out_dir("--jsonl", args.jsonl)
     report = lint_repo(
         args.paths,
         strict=args.strict,
@@ -1136,6 +1151,7 @@ def _cmd_sweep(args) -> int:
 
     jobs = jobs_for(args.spec)
     _positive("--workers", args.workers)
+    _check_out_dir("--jsonl", args.jsonl)
     cache = _make_cache(args)
     results = run_jobs(
         jobs, workers=args.workers, cache=cache, checkpoint=_checkpoint_spec(args)

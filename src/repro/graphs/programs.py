@@ -114,8 +114,9 @@ def simulate_mta_cc(
         phase is recorded back to back on its timeline.
     engine:
         Engine facade to construct instead of the stock
-        :class:`~repro.sim.MTAEngine` (any registered interleaved
-        machine's facade works — see :mod:`repro.sim.machines`).
+        :class:`~repro.sim.MTAEngine` (any interleaved machine's
+        :class:`~repro.sim.kernel.Engine` subclass works, e.g.
+        :class:`~repro.sim.mta_next.MTANextEngine`).
     session:
         Optional :class:`repro.sim.checkpoint.CheckpointSession` shared
         by every graft/shortcut engine phase (periodic snapshots /
@@ -381,7 +382,7 @@ def simulate_smp_cc(
         )
     eng = SMPEngine(p=p, config=config, tracer=tracer, check=check, tier=tier, session=session)
     for proc in range(p):
-        eng.attach(program(proc))
+        eng.spawn(program(proc))
     report = eng.run("smp.sv-cc")
     if variant is not None:
         branches = sum(pr.branches for pr in predictors)

@@ -121,8 +121,9 @@ def simulate_mta_list_ranking(
         recorded back to back on its timeline.
     engine:
         Engine facade to construct instead of the stock
-        :class:`~repro.sim.MTAEngine` (any registered interleaved
-        machine's facade works — see :mod:`repro.sim.machines`).
+        :class:`~repro.sim.MTAEngine` (any interleaved machine's
+        :class:`~repro.sim.kernel.Engine` subclass works, e.g.
+        :class:`~repro.sim.mta_next.MTANextEngine`).
     session:
         Optional :class:`repro.sim.checkpoint.CheckpointSession` shared
         by all four engine phases (periodic snapshots / resume).
@@ -450,7 +451,7 @@ def simulate_smp_list_ranking(
     eng = SMPEngine(p=p, config=config, tracer=tracer, check=check, tier=tier, session=session)
     eng.set_counter(a_ctr.base + 0, 0)
     for proc in range(p):
-        eng.attach(program(proc))
+        eng.spawn(program(proc))
     report = eng.run("smp.helman-jaja")
     ranks = out - 1
     return MTAListRankingSim(ranks=ranks, report=report, phase_reports=[report])

@@ -5,9 +5,11 @@ watchdog, barriers, phases, and instrumentation (via the
 :class:`~repro.sim.hooks.HookBus`); machines plug in as
 :class:`~repro.sim.kernel.MachineModel` implementations
 (:class:`~repro.sim.smp_engine.SMPMachine`,
-:class:`~repro.sim.mta_engine.MTAMachine`, …) behind the historical
-``SMPEngine`` / ``MTAEngine`` facades.  New machines register through
-:func:`~repro.sim.machines.register_machine`.  See ``docs/SIMULATION.md``.
+:class:`~repro.sim.mta_engine.MTAMachine`, …) behind one
+:class:`~repro.sim.kernel.Engine` facade, whose per-machine subclasses
+(``SMPEngine``, ``MTAEngine``, ``MTANextEngine``) only name the model.
+Engine backends register through :func:`repro.backends.register_machine`.
+See ``docs/SIMULATION.md``.
 """
 
 from . import isa
@@ -24,10 +26,10 @@ from .kernel import (
     EVENT,
     INTERLEAVED,
     TIERS,
+    Engine,
     MachineModel,
     SimKernel,
 )
-from .machines import list_machines, machine_spec, register_machine
 from .mta_engine import MTAEngine, MTAMachine
 from .mta_next import MTANextMachine
 from .smp_engine import SMPEngine, SMPMachine
@@ -41,6 +43,7 @@ __all__ = [
     "CheckpointStore",
     "CHECKPOINT_STATE_VERSION",
     "load_checkpoint",
+    "Engine",
     "MTAEngine",
     "MTAMachine",
     "MTANextMachine",
@@ -57,9 +60,6 @@ __all__ = [
     "TracerHook",
     "CheckerHook",
     "HOOK_EVENTS",
-    "register_machine",
-    "list_machines",
-    "machine_spec",
     "PhaseSlice",
     "SimReport",
     "combine_reports",

@@ -32,10 +32,10 @@ Two scheduling disciplines cover the paper's machines:
     per cycle from some ready stream, round-robin, with fast-forward
     over globally idle spans (the MTA's fair hardware scheduler).
 
-A new machine registers in a single module with zero edits here: define
-a :class:`MachineModel` subclass, wrap it in an engine facade (or reuse
-:class:`repro.sim.MTAEngine`'s), and call
-:func:`repro.sim.machines.register_machine`.  See ``docs/SIMULATION.md``.
+:class:`Engine` is the one facade over a kernel and its model.  A new
+machine needs no edits here: a :class:`MachineModel` subclass, an
+:class:`Engine` subclass that sets ``machine_class``, and one
+:func:`repro.backends.register_machine` call.  See ``docs/SIMULATION.md``.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .stats import PhaseSlice, SimReport
 from .thread import BLOCKED, DONE, READY, WAIT_BARRIER, SimThread
 
 __all__ = [
+    "Engine",
     "SimKernel",
     "MachineModel",
     "EVENT",
@@ -1364,3 +1365,90 @@ class SimKernel:
                 PhaseSlice(name=label, start=t0, end=t1, issued=i1 - i0, op_counts=counts)
             )
         return slices
+
+
+class Engine:
+    """One simulated machine, ready to run thread programs: a thin facade
+    over ``SimKernel(machine_class(p, **params))``.
+
+    A machine's engine is a subclass that only sets :attr:`machine_class`
+    (``SMPEngine``, ``MTAEngine``, ``MTANextEngine``); machine state is
+    read through :attr:`model`.  ``params`` are machine parameters
+    (``streams_per_proc``, the SMP's ``config``, …); only caller-supplied
+    ones reach the machine, so its own defaults apply, and an unknown
+    one raises :class:`~repro.errors.ConfigurationError`.  ``tracer``,
+    ``check``, ``hooks``, ``tier`` and ``record`` go to the
+    :class:`SimKernel`.  With a ``session``
+    (:class:`repro.sim.checkpoint.CheckpointSession`, which implies
+    ``record``) every :meth:`run` goes through the session.
+    """
+
+    #: The :class:`MachineModel` this engine instantiates.
+    machine_class: type
+
+    def __init__(
+        self,
+        p: int = 1,
+        *,
+        tracer=None,
+        check=None,
+        hooks=(),
+        tier="auto",
+        session=None,
+        record: bool = False,
+        **params,
+    ) -> None:
+        try:
+            self.model = self.machine_class(p, **params)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"bad {self.machine_class.kind} engine config: {exc}"
+            ) from None
+        self.p = self.model.p
+        self.session = session
+        self.kernel = SimKernel(
+            self.model,
+            tracer=tracer,
+            check=check,
+            hooks=hooks,
+            tier=tier,
+            record=record or session is not None,
+        )
+
+    def spawn(self, gen, proc: int | None = None) -> SimThread:
+        """Add a thread (placement as in :meth:`SimKernel.add_thread`)."""
+        return self.kernel.add_thread(gen, proc)
+
+    def register_barrier(self, barrier_id: str, count: int) -> None:
+        self.kernel.register_barrier(barrier_id, count)
+
+    def set_counter(self, addr: int, value: int = 0) -> None:
+        self.kernel.set_counter(addr, value)
+
+    def set_full(self, addr: int, value=0) -> None:
+        self.kernel.set_full(addr, value)
+
+    def resume(self, state: dict) -> None:
+        """Restore a kernel snapshot (spawn the same programs first)."""
+        self.kernel.resume(state)
+
+    def run(
+        self,
+        name: str = "phase",
+        budget: int | None = None,
+        *,
+        tier: str | None = None,
+        checkpoint_every: int | None = None,
+        checkpoint_sink=None,
+    ) -> SimReport:
+        """:meth:`SimKernel.run`, or the session's run when one is set
+        (which then manages checkpoints itself)."""
+        if self.session is not None:
+            return self.session.run(self.kernel, name, budget=budget, tier=tier)
+        return self.kernel.run(
+            name,
+            budget,
+            tier=tier,
+            checkpoint_every=checkpoint_every,
+            checkpoint_sink=checkpoint_sink,
+        )

@@ -1,4 +1,4 @@
-"""Machine model and engine facade for the multithreaded (Cray MTA-2 style) machine.
+"""Machine model and engine for the multithreaded (Cray MTA-2 style) machine.
 
 The machine-specific physics live in :class:`MTAMachine`, a
 :class:`~repro.sim.kernel.MachineModel` plug-in; the run loop,
@@ -38,7 +38,6 @@ through the kernel's :class:`~repro.sim.hooks.HookBus`; see
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator
 
 from ..errors import ConfigurationError, SimulationError
 from .isa import (
@@ -51,14 +50,21 @@ from .isa import (
     SYNC_LOAD_FULL,
     SYNC_STORE_FULL,
 )
-from .kernel import INTERLEAVED, MachineModel, SimKernel
-from .thread import SimThread, WAIT_EMPTY, WAIT_FULL
+from .kernel import INTERLEAVED, Engine, MachineModel, SimKernel
+from .thread import WAIT_EMPTY, WAIT_FULL
 
 __all__ = ["MTAEngine", "MTAMachine"]
 
 
 class MTAMachine(MachineModel):
-    """Flat hashed memory + streams + full/empty bits, as a kernel plug-in."""
+    """Flat hashed memory + streams + full/empty bits, as a kernel plug-in.
+
+    ``streams_per_proc``, ``mem_latency``, ``lookahead`` and ``n_banks``
+    are described in the module docstring; ``max_outstanding`` caps a
+    stream's in-flight memory references (8 on the MTA-2),
+    ``barrier_latency`` is the cycles from last arrival to release, and
+    ``clock_hz`` converts cycles to seconds in reports.
+    """
 
     kind = "mta"
     scheduling = INTERLEAVED
@@ -430,190 +436,7 @@ class MTAMachine(MachineModel):
         return detail
 
 
-class MTAEngine:
-    """One simulated multithreaded machine, ready to run thread programs.
+class MTAEngine(Engine):
+    """The :class:`~repro.sim.kernel.Engine` facade over :class:`MTAMachine`."""
 
-    A thin facade over ``SimKernel(MTAMachine(p, ...))`` that keeps the
-    historical construction/run API.  Subclass hook: an alternate
-    interleaved machine (e.g. ``mta-next``) overrides
-    :attr:`machine_class` and reuses everything else.
-
-    Parameters
-    ----------
-    p:
-        Processor count.
-    streams_per_proc:
-        Hardware streams per processor; spawning more threads than
-        ``p × streams_per_proc`` raises (map your work to fewer worker
-        threads and use ``FA`` self-scheduling, like the real machine).
-    mem_latency:
-        Round-trip memory latency in cycles (~100 on the MTA-2).
-    lookahead:
-        Instructions a stream may issue past an outstanding memory op.
-    max_outstanding:
-        Hardware limit of in-flight memory refs per stream (8).
-    barrier_latency:
-        Cycles from last arrival to release.
-    clock_hz:
-        For seconds conversion in reports.
-    n_banks:
-        Simulated memory banks (power of two).  0 (default) disables
-        bank modeling — appropriate because the MTA hashes logical
-        addresses across physical banks, making collisions rare.
-        Enable it to study hotspot traffic beyond ``int_fetch_add``.
-    tracer:
-        Optional :class:`repro.obs.Tracer`.  ``None`` (default)
-        disables event recording entirely; contention *counters* are
-        always collected.
-    check:
-        Optional :class:`repro.analysis.ConcurrencyChecker`.  When
-        attached, the kernel reports every issued op, the semantic
-        moment of each full/empty fill/drain, FA serialization order,
-        barrier releases, and (on deadlock) the blocked-thread
-        inventory.
-    hooks:
-        Additional :class:`~repro.sim.hooks.HookBus` subscribers.
-    tier:
-        Execution tier (``"auto"``/``"interpreted"``/``"vector"``; see
-        :class:`~repro.sim.kernel.SimKernel`).  Both tiers report
-        byte-identically; ``"auto"`` vectorizes whenever bank modeling
-        is off and no per-op observer is attached.
-    """
-
-    #: The MachineModel this facade instantiates; subclasses override.
     machine_class = MTAMachine
-
-    def __init__(
-        self,
-        p: int = 1,
-        *,
-        tracer=None,
-        check=None,
-        hooks=(),
-        tier="auto",
-        session=None,
-        record: bool = False,
-        **params,
-    ) -> None:
-        # Only caller-supplied parameters reach the machine, so a
-        # subclass machine's own defaults (mta-next's latency, stream
-        # budget…) apply.
-        try:
-            self.model = self.machine_class(p, **params)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad {self.machine_class.kind} engine config: {exc}"
-            ) from None
-        self.session = session
-        self.kernel = SimKernel(
-            self.model,
-            tracer=tracer,
-            check=check,
-            hooks=hooks,
-            tier=tier,
-            record=record or session is not None,
-        )
-
-    # -- setup -----------------------------------------------------------------
-
-    def spawn(self, gen: Generator, proc: int | None = None) -> SimThread:
-        """Add a thread; round-robin processor placement unless pinned."""
-        return self.kernel.add_thread(gen, proc)
-
-    def register_barrier(self, barrier_id: str, count: int) -> None:
-        """Declare that ``count`` threads will meet at ``barrier_id``."""
-        self.kernel.register_barrier(barrier_id, count)
-
-    def set_full(self, addr: int, value=0) -> None:
-        """Pre-set a full/empty word to Full with ``value``."""
-        self.kernel.set_full(addr, value)
-
-    def set_counter(self, addr: int, value: int = 0) -> None:
-        """Initialize a fetch-add cell."""
-        self.kernel.set_counter(addr, value)
-
-    # -- run --------------------------------------------------------------------
-
-    def resume(self, state: dict) -> None:
-        """Restore a kernel snapshot (spawn the same programs first);
-        the next :meth:`run` continues from the checkpointed boundary."""
-        self.kernel.resume(state)
-
-    def run(
-        self,
-        name: str = "phase",
-        max_cycles: int = 200_000_000,
-        *,
-        budget: int | None = None,
-        tier: str | None = None,
-        checkpoint_every: int | None = None,
-        checkpoint_sink=None,
-    ):
-        """Execute until every spawned thread finishes; return measurements.
-
-        ``max_cycles`` is the historical name for the kernel ``budget``
-        (cycles); ``budget`` wins when both are given.  ``tier``
-        overrides the engine's configured execution tier for this run.
-        ``checkpoint_every``/``checkpoint_sink`` pass through to
-        :meth:`SimKernel.run` (ignored when a session manages the run).
-        """
-        budget = budget if budget is not None else max_cycles
-        if self.session is not None:
-            return self.session.run(self.kernel, name, budget=budget, tier=tier)
-        return self.kernel.run(
-            name,
-            budget=budget,
-            tier=tier,
-            checkpoint_every=checkpoint_every,
-            checkpoint_sink=checkpoint_sink,
-        )
-
-    # -- public state the historical engine exposed -----------------------------
-
-    @property
-    def p(self) -> int:
-        return self.model.p
-
-    @property
-    def streams_per_proc(self) -> int:
-        return self.model.streams_per_proc
-
-    @property
-    def mem_latency(self) -> int:
-        return self.model.mem_latency
-
-    @property
-    def lookahead(self) -> int:
-        return self.model.lookahead
-
-    @property
-    def max_outstanding(self) -> int:
-        return self.model.max_outstanding
-
-    @property
-    def barrier_latency(self) -> int:
-        return self.model.barrier_latency
-
-    @property
-    def clock_hz(self) -> float:
-        return self.model.clock_hz
-
-    @property
-    def n_banks(self) -> int:
-        return self.model.n_banks
-
-    @property
-    def fa_values(self) -> dict:
-        return self.model.fa_values
-
-    @property
-    def fa_serialization_stalls(self) -> int:
-        return self.model.fa_serialization_stalls
-
-    @property
-    def bank_contention_stalls(self) -> int:
-        return self.model.bank_contention_stalls
-
-    @property
-    def fe_wait_cycles(self) -> int:
-        return self.model.fe_wait_cycles

@@ -5,12 +5,12 @@ Cray multithreaded machine: "In particular, the memory system will not
 be as flat as in the MTA-2.  We will reconduct our studies on this
 architecture as soon as it is available."  This module *is* that study
 seam, and it is also the demonstration that the kernel / machine-model
-split works: a new cycle-level machine in one file, with zero edits to
+split works: a new cycle-level machine with zero edits to
 ``kernel.py`` — a :class:`~repro.sim.mta_engine.MTAMachine` subclass
-flips the parameters the commodity redesign would change, an engine
-facade points at it, and one
-:func:`~repro.sim.machines.register_machine` call puts
-``mta-next-engine`` in the backend registry next to the built-ins.
+flips the parameters the commodity redesign would change, a two-line
+:class:`~repro.sim.kernel.Engine` subclass points at it, and one
+:func:`repro.backends.register_machine` call (next to the built-in
+``mta`` one) puts ``mta-next-engine`` in the backend registry.
 
 What the commodity redesign changes relative to the MTA-2:
 
@@ -32,9 +32,8 @@ unchanged, which is the architectural claim in code form.
 
 from __future__ import annotations
 
-from .kernel import INTERLEAVED
-from .machines import register_machine
-from .mta_engine import MTAEngine, MTAMachine
+from .kernel import Engine
+from .mta_engine import MTAMachine
 
 __all__ = ["MTANextMachine", "MTANextEngine"]
 
@@ -68,19 +67,9 @@ class MTANextMachine(MTAMachine):
         )
 
 
-class MTANextEngine(MTAEngine):
-    """Engine facade for :class:`MTANextMachine` (API-compatible with
-    :class:`~repro.sim.mta_engine.MTAEngine`, so the MTA thread
-    programs run on it unmodified)."""
+class MTANextEngine(Engine):
+    """The :class:`~repro.sim.kernel.Engine` facade over :class:`MTANextMachine`
+    (an interleaved machine, so the MTA thread programs run on it
+    unmodified)."""
 
     machine_class = MTANextMachine
-
-
-register_machine(
-    "mta-next",
-    MTANextEngine,
-    scheduling=INTERLEAVED,
-    kinds=("rank", "cc", "chase"),
-    description="Hypothetical commodity-parts Cray: banked high-latency memory, 64 streams",
-    replace=True,
-)

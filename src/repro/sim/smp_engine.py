@@ -1,4 +1,4 @@
-"""Machine model and engine facade for the cache-based SMP machine.
+"""Machine model and engine for the cache-based SMP machine.
 
 The machine-specific physics live in :class:`SMPMachine`, a
 :class:`~repro.sim.kernel.MachineModel` plug-in; the run loop,
@@ -34,19 +34,21 @@ through the kernel's :class:`~repro.sim.hooks.HookBus`; see
 
 from __future__ import annotations
 
-from typing import Generator
-
 from ..arch.cache import CacheHierarchy
 from ..errors import ConfigurationError
 from ..core.smp_machine import SMPConfig, SUN_E4500
 from .isa import COMPUTE, FETCH_ADD, LOAD, LOAD_DEP, STORE
-from .kernel import EVENT, MachineModel, SimKernel
+from .kernel import EVENT, Engine, MachineModel, SimKernel
 
 __all__ = ["SMPEngine", "SMPMachine"]
 
 
 class SMPMachine(MachineModel):
-    """Cache hierarchy + shared bus + write buffer, as a kernel plug-in."""
+    """Cache hierarchy + shared bus + write buffer, as a kernel plug-in.
+
+    ``p`` is the processor count (one thread each); ``config`` is the
+    machine description, by default the paper's Sun E4500.
+    """
 
     kind = "smp"
     scheduling = EVENT
@@ -207,117 +209,7 @@ class SMPMachine(MachineModel):
         }
 
 
-class SMPEngine:
-    """One simulated SMP, running exactly one thread per processor.
+class SMPEngine(Engine):
+    """The :class:`~repro.sim.kernel.Engine` facade over :class:`SMPMachine`."""
 
-    A thin facade over ``SimKernel(SMPMachine(p, config))`` that keeps
-    the historical construction/run API.
-
-    Parameters
-    ----------
-    p:
-        Processor count (== number of programs to attach).
-    config:
-        Machine description; defaults to the paper's Sun E4500.
-    tracer:
-        Optional :class:`repro.obs.Tracer`; ``None`` disables event
-        recording (contention counters are always collected).
-    check:
-        Optional :class:`repro.analysis.ConcurrencyChecker`; when
-        attached, the kernel reports every op, FA serialization order,
-        barrier releases, and parked-processor inventories.
-    hooks:
-        Additional :class:`~repro.sim.hooks.HookBus` subscribers.
-    session:
-        Optional :class:`repro.sim.checkpoint.CheckpointSession`; runs
-        then go through the session (periodic snapshots, resume,
-        graceful pause — see ``docs/SIMULATION.md``).
-    record:
-        Record the generator-resume log so :meth:`SimKernel.snapshot`
-        works even without a session (implied by ``session``).
-    """
-
-    def __init__(
-        self,
-        p: int = 1,
-        config: SMPConfig = SUN_E4500,
-        tracer=None,
-        check=None,
-        hooks=(),
-        tier: str = "auto",
-        session=None,
-        record: bool = False,
-    ) -> None:
-        self.model = SMPMachine(p, config)
-        self.session = session
-        self.kernel = SimKernel(
-            self.model,
-            tracer=tracer,
-            check=check,
-            hooks=hooks,
-            tier=tier,
-            record=record or session is not None,
-        )
-
-    @property
-    def p(self) -> int:
-        return self.model.p
-
-    @property
-    def config(self) -> SMPConfig:
-        return self.model.config
-
-    @property
-    def fa_values(self) -> dict:
-        return self.model.fa_values
-
-    def attach(self, gen: Generator) -> int:
-        """Attach the program for the next processor; returns its index."""
-        return self.kernel.add_thread(gen).tid
-
-    def set_counter(self, addr: int, value: int = 0) -> None:
-        """Initialize a fetch-add cell."""
-        self.kernel.set_counter(addr, value)
-
-    def register_barrier(self, barrier_id: str, count: int) -> None:
-        """Pre-register a barrier with an explicit arrival count.
-
-        Optional on the SMP — its software barriers implicitly need all
-        ``p`` processors — but lets a program run a barrier among a
-        subset of processors.
-        """
-        self.kernel.register_barrier(barrier_id, count)
-
-    def resume(self, state: dict) -> None:
-        """Restore a kernel snapshot (attach the same programs first);
-        the next :meth:`run` continues from the checkpointed boundary."""
-        self.kernel.resume(state)
-
-    def run(
-        self,
-        name: str = "phase",
-        max_ops: int = 500_000_000,
-        *,
-        budget: int | None = None,
-        tier: str | None = None,
-        checkpoint_every: int | None = None,
-        checkpoint_sink=None,
-    ):
-        """Run all processors to completion; return measurements.
-
-        ``max_ops`` is the historical name for the kernel ``budget``
-        (scheduling steps); ``budget`` wins when both are given.
-        ``tier`` overrides the engine's configured execution tier.
-        ``checkpoint_every``/``checkpoint_sink`` pass through to
-        :meth:`SimKernel.run` (ignored when a session manages the run).
-        """
-        budget = budget if budget is not None else max_ops
-        if self.session is not None:
-            return self.session.run(self.kernel, name, budget=budget, tier=tier)
-        return self.kernel.run(
-            name,
-            budget=budget,
-            tier=tier,
-            checkpoint_every=checkpoint_every,
-            checkpoint_sink=checkpoint_sink,
-        )
+    machine_class = SMPMachine

@@ -33,7 +33,7 @@ def _run_mta(build, *, strict=False, engine_kwargs=None):
     eng = MTAEngine(p=1, streams_per_proc=8, check=check, **(engine_kwargs or {}))
     build(eng, check)
     try:
-        eng.run("corpus", max_cycles=MAX_CYCLES)
+        eng.run("corpus", budget=MAX_CYCLES)
     except DeadlockError:
         pass
     return check.report()
@@ -242,7 +242,7 @@ def run_barrier_mismatch_smp():
         yield isa.barrier("sync")
 
     for proc in range(2):
-        eng.attach(program(proc))
+        eng.spawn(program(proc))
     try:
         eng.run("corpus")
     except DeadlockError:

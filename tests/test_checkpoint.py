@@ -104,7 +104,7 @@ def build_smp(record=False, session=None):
 
     eng.set_counter(100, 0)
     for pid in range(4):
-        eng.attach(prog(pid))
+        eng.spawn(prog(pid))
     return eng, arr
 
 
@@ -258,7 +258,7 @@ def _fuzz_engine(machine, seed, record=False):
     if with_barrier:
         eng.register_barrier("bz", len(progs))
     for ops in progs:
-        (eng.spawn if machine == "mta" else eng.attach)(_gen_of(ops))
+        eng.spawn(_gen_of(ops))
     if machine == "mta":
 
         def producer(addr, value, delay):

@@ -295,3 +295,35 @@ class TestFlagValidation:
              "--n", "64", "--checkpoint-every", "0", "--no-cache"]
         ) == 2
         assert "--checkpoint-every must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["trace", "rank-mta", "--n", "64", "--out", "{out}"], id="trace-out"),
+        pytest.param(["xval", "--n", "32", "--no-cache", "--jsonl", "{out}"], id="xval-jsonl"),
+        pytest.param(
+            ["analyze", "--workload", "cc", "--backend", "smp-engine", "--n", "32",
+             "--jsonl", "{out}"],
+            id="analyze-jsonl",
+        ),
+        pytest.param(["lint", "--jsonl", "{out}"], id="lint-jsonl"),
+        pytest.param(
+            ["sweep", "--spec", "fig1-tiny", "--no-cache", "--jsonl", "{out}"],
+            id="sweep-jsonl",
+        ),
+        pytest.param(
+            ["lint", "--write-state-baseline", "--state-baseline", "{out}"],
+            id="lint-state-baseline",
+        ),
+    ],
+)
+def test_missing_output_directory_is_config_error(argv, tmp_path, capsys):
+    """An output path in a missing directory exits 2 with a structured
+    error before any work runs, instead of a traceback after it."""
+    missing = tmp_path / "missing"
+    out = str(missing / "out.txt")
+    assert main([out if a == "{out}" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not exist" in err
+    assert not missing.exists()

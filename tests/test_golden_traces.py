@@ -90,7 +90,7 @@ def test_smp_fa_hotspot_golden():
             yield isa.compute(1)
 
     for i in range(2):
-        eng.attach(program(i))
+        eng.spawn(program(i))
     rep = eng.run("fa-hotspot")
     assert rep.detail["fa_sites"][64][0] == 6
     _check("smp_fa_hotspot", t)
@@ -176,7 +176,7 @@ def test_smp_barrier_join_golden():
         yield isa.store(4096 + 64 * proc)
 
     for i in range(3):
-        eng.attach(program(i))
+        eng.spawn(program(i))
     rep = eng.run("barrier-join")
     waits = rep.detail["barrier_wait_cycles"]
     assert waits[0] > waits[2]  # the lightest processor waits longest

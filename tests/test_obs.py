@@ -326,7 +326,7 @@ class TestEngineIntegration:
 
         eng = SMPEngine(p=2)
         for i in range(2):
-            eng.attach(program(i))
+            eng.spawn(program(i))
         rep = eng.run("smp-demo")
         assert [s.name for s in rep.phases] == ["warm", "tail"]
         assert sum(s.cycles for s in rep.phases) == pytest.approx(float(rep.cycles))
@@ -339,7 +339,7 @@ class TestEngineIntegration:
 
         eng = SMPEngine(p=2)
         for i in range(2):
-            eng.attach(program(i))
+            eng.spawn(program(i))
         rep = eng.run("smp-demo")
         d = rep.detail
         assert len(d["barrier_wait_cycles"]) == 2

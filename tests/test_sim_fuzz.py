@@ -61,7 +61,7 @@ def test_mta_engine_accounts_every_instruction(programs):
     for ops in programs:
         total_ops += sum(op[1] if op[0] == "C" else 1 for op in ops)
         eng.spawn(make_gen(ops))
-    report = eng.run(max_cycles=2_000_000)
+    report = eng.run(budget=2_000_000)
     assert report.total_issued == total_ops
     assert 0.0 <= report.utilization <= 1.0
     assert report.cycles >= -(-total_ops // 2)  # at most 2 issues per cycle (p=2)
@@ -77,7 +77,7 @@ def test_smp_engine_accounts_every_instruction(programs):
     total_ops = 0
     for ops in programs:
         total_ops += len(ops)
-        eng.attach(make_gen(ops))
+        eng.spawn(make_gen(ops))
     report = eng.run()
     assert report.total_issued == total_ops
 
@@ -99,7 +99,7 @@ def test_fetch_add_conserves_sum_under_any_interleaving(increments, seed):
     for inc in increments:
         eng.spawn(adder(inc))
     eng.run()
-    assert eng.fa_values[0] == 100 + sum(increments)
+    assert eng.model.fa_values[0] == 100 + sum(increments)
 
 
 @settings(max_examples=30, deadline=None)
@@ -281,7 +281,7 @@ def _run_fuzz_smp(tier: str, seed: int):
     if with_barrier:
         eng.register_barrier("bz", len(progs))
     for ops in progs:
-        eng.attach(_gen_of(ops))
+        eng.spawn(_gen_of(ops))
     report = eng.run("fuzz")
     return _report_blob(report), 0
 

@@ -1,29 +1,21 @@
-"""The unified simulation kernel: HookBus, watchdog, machine registry.
+"""The unified simulation kernel: HookBus, watchdog, Engine facade, machine registration.
 
 The engine-equivalence suite (``test_engine_equivalence.py``) pins the
 refactor's behavior to the pre-kernel goldens; this file tests the new
 surfaces the kernel added — the single instrumentation bus, the unified
 watchdog ``budget`` with its blocked-inventory diagnosis, phase-slice
-closure on mid-phase aborts, and the machine-model registry with its
-backend auto-registration (``mta-next`` end to end).
+closure on mid-phase aborts, the one :class:`~repro.sim.kernel.Engine`
+facade every machine shares, and engine-backend registration through
+:func:`repro.backends.register_machine` (``mta-next`` end to end).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.backends import create, describe, register_machine
 from repro.errors import ConfigurationError, WatchdogExceeded
-from repro.sim import (
-    HOOK_EVENTS,
-    INTERLEAVED,
-    HookBus,
-    MTAEngine,
-    SMPEngine,
-    isa,
-    list_machines,
-    machine_spec,
-    register_machine,
-)
+from repro.sim import HOOK_EVENTS, Engine, HookBus, MTAEngine, SMPEngine, isa
 from repro.sim.mta_next import MTANextEngine, MTANextMachine
 
 
@@ -122,8 +114,8 @@ class TestHookBus:
             yield isa.compute(3)
             yield isa.barrier("sync")
 
-        eng.attach(prog())
-        eng.attach(prog())
+        eng.spawn(prog())
+        eng.spawn(prog())
         eng.run("t")
         names = rec.names()
         assert names[0] == "attach_engine"
@@ -155,17 +147,6 @@ class TestWatchdog:
         barrier_rows = [r for r in exc.blocked if r.get("barrier") == "never"]
         assert barrier_rows and barrier_rows[0]["need"] == 2
 
-    def test_mta_max_cycles_alias_still_works(self):
-        eng = MTAEngine(p=1, streams_per_proc=1)
-
-        def spinner():
-            while True:
-                yield isa.compute(1)
-
-        eng.spawn(spinner())
-        with pytest.raises(WatchdogExceeded, match="max_cycles=25"):
-            eng.run("t", max_cycles=25)
-
     def test_smp_budget_counts_scheduling_steps(self):
         eng = SMPEngine(p=1)
 
@@ -173,7 +154,7 @@ class TestWatchdog:
             while True:
                 yield isa.compute(1)
 
-        eng.attach(spinner())
+        eng.spawn(spinner())
         with pytest.raises(WatchdogExceeded, match="max_ops=30") as ei:
             eng.run("t", budget=30)
         assert ei.value.budget == 30
@@ -218,58 +199,82 @@ class TestWatchdog:
         assert {"tid": 0, "state": "wait-full", "addr": 123} in rows
 
 
+@pytest.mark.parametrize(
+    "engine_cls,kind",
+    [
+        pytest.param(SMPEngine, "smp", id="SMPEngine"),
+        pytest.param(MTAEngine, "mta", id="MTAEngine"),
+        pytest.param(MTANextEngine, "mta-next", id="MTANextEngine"),
+    ],
+)
+def test_engine_facade_contract(engine_cls, kind):
+    """Every machine's engine is the one :class:`Engine` facade: an
+    unknown machine parameter is a structured error naming the machine,
+    and ``spawn`` + ``run(budget=)`` trips the kernel watchdog."""
+    with pytest.raises(ConfigurationError, match=f"bad {kind} engine config"):
+        engine_cls(p=1, bogus=1)
+    eng = engine_cls(p=1)
+    assert isinstance(eng, Engine)
+    assert eng.model.kind == kind and eng.p == 1
+
+    def spinner():
+        while True:
+            yield isa.compute(1)
+
+    eng.spawn(spinner())
+    with pytest.raises(WatchdogExceeded) as ei:
+        eng.run("t", budget=30)
+    assert ei.value.budget == 30
+
+
 class TestMachineRegistry:
     def test_builtins_registered(self):
-        names = [m.name for m in list_machines()]
-        assert {"smp", "mta", "mta-next"} <= set(names)
-
-    def test_unknown_machine_lists_known(self):
-        with pytest.raises(ConfigurationError, match="unknown machine"):
-            machine_spec("pdp-11")
+        rows = {r["name"]: r for r in describe()}
+        assert rows["smp-engine"]["machine"] == "smp"
+        assert rows["mta-engine"]["machine"] == "mta"
+        assert rows["mta-next-engine"]["machine"] == "mta-next"
 
     def test_spec_fields(self):
-        spec = machine_spec("mta-next")
-        assert spec.engine is MTANextEngine
-        assert spec.scheduling == INTERLEAVED
-        assert spec.backend == "mta-next-engine"
-        # built-ins keep their bespoke backends
-        assert machine_spec("mta").backend is None
-        assert machine_spec("smp").backend is None
+        row = next(r for r in describe() if r["name"] == "mta-next-engine")
+        assert row["level"] == "engine"
+        assert row["kinds"] == ["rank", "cc", "chase"]
+        assert row["hooks"] == list(HOOK_EVENTS)
+        # bank modeling is on by default: no vector profile
+        assert row["tiers"] == ["interpreted"]
+        assert row["checkpoint"] is True
+        assert create("mta-next-engine").engine is MTANextEngine
 
     def test_register_machine_auto_registers_backend(self):
-        from repro.backends import describe, names
+        from repro.backends import names
         from repro.backends.registry import _REGISTRY
-        from repro.sim.machines import _MACHINES
 
-        register_machine(
-            "toy-mta",
-            MTAEngine,
-            scheduling=INTERLEAVED,
-            kinds=("rank",),
-            description="registry test machine",
-        )
+        register_machine("toy-mta", MTAEngine, description="registry test machine")
         try:
             assert "toy-mta-engine" in names()
             row = next(r for r in describe() if r["name"] == "toy-mta-engine")
             assert row["machine"] == "toy-mta"
             assert row["hooks"] == list(HOOK_EVENTS)
             assert row["level"] == "engine"
+            assert row["tiers"] == ["interpreted", "vector"]
+            assert row["xval"] is False
+            backend = create("toy-mta-engine")
+            assert backend.engine is MTAEngine
+            assert backend.description == "registry test machine"
         finally:
-            _MACHINES.pop("toy-mta", None)
             _REGISTRY.pop("toy-mta-engine", None)
 
     def test_duplicate_machine_needs_replace(self):
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_machine("mta", MTAEngine, scheduling=INTERLEAVED)
+            register_machine("mta", MTAEngine)
 
 
 class TestMTANext:
     def test_machine_defaults(self):
         eng = MTANextEngine()
-        assert eng.streams_per_proc == 64
-        assert eng.mem_latency == 400
-        assert eng.n_banks == 4096
-        assert eng.clock_hz == 500e6
+        assert eng.model.streams_per_proc == 64
+        assert eng.model.mem_latency == 400
+        assert eng.model.n_banks == 4096
+        assert eng.model.clock_hz == 500e6
         assert isinstance(eng.model, MTANextMachine)
         assert eng.model.kind == "mta-next"
 
@@ -365,8 +370,8 @@ class TestSMPExplicitBarrier:
         def loner():
             yield isa.compute(50)
 
-        eng.attach(pair())
-        eng.attach(pair())
-        eng.attach(loner())
+        eng.spawn(pair())
+        eng.spawn(pair())
+        eng.spawn(loner())
         report = eng.run("t")
         assert report.cycles > 0

@@ -76,7 +76,7 @@ class TestFetchAdd:
             eng.spawn(prog(k))
         eng.run()
         assert sorted(got) == list(range(20))
-        assert eng.fa_values[7] == 20
+        assert eng.model.fa_values[7] == 20
 
     def test_hotspot_serializes_one_per_cycle(self):
         """With several processors aiming atomics at one word, the owning
@@ -90,7 +90,7 @@ class TestFetchAdd:
         for _ in range(96):
             eng.spawn(prog())
         eng.run()
-        assert eng.fa_serialization_stalls > 0
+        assert eng.model.fa_serialization_stalls > 0
 
     def test_custom_increment(self):
         def prog():
@@ -99,7 +99,7 @@ class TestFetchAdd:
         eng = MTAEngine(p=1)
         eng.spawn(prog())
         eng.run()
-        assert eng.fa_values[1] == 5
+        assert eng.model.fa_values[1] == 5
 
 
 class TestFullEmptyBits:
@@ -281,20 +281,20 @@ class TestBankContention:
         for _ in range(32):
             eng.spawn(self._hammer(lambda i: 7))
         eng.run()
-        assert eng.bank_contention_stalls == 0
+        assert eng.model.bank_contention_stalls == 0
 
     def test_same_word_hotspot_queues(self):
         eng = MTAEngine(p=4, streams_per_proc=64, n_banks=512)
         for _ in range(128):
             eng.spawn(self._hammer(lambda i: 42))
         r_hot = eng.run()
-        assert eng.bank_contention_stalls > 0
+        assert eng.model.bank_contention_stalls > 0
 
         eng2 = MTAEngine(p=4, streams_per_proc=64, n_banks=512)
         for t in range(128):
             eng2.spawn(self._hammer(lambda i, t=t: t * 1000 + i))
         r_spread = eng2.run()
-        assert eng2.bank_contention_stalls == 0
+        assert eng2.model.bank_contention_stalls == 0
         assert r_spread.cycles < r_hot.cycles
 
     def test_bad_bank_count_rejected(self):
@@ -311,4 +311,4 @@ class TestRunawayGuard:
         eng = MTAEngine(p=1)
         eng.spawn(forever())
         with pytest.raises(SimulationError):
-            eng.run(max_cycles=500)
+            eng.run(budget=500)

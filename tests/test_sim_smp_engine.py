@@ -10,7 +10,7 @@ from repro.sim import SMPEngine, isa
 
 def run_single(gen, config=SUN_E4500):
     eng = SMPEngine(p=1, config=config)
-    eng.attach(gen)
+    eng.spawn(gen)
     return eng.run()
 
 
@@ -81,13 +81,13 @@ class TestBus:
             return prog()
 
         solo = SMPEngine(p=1)
-        solo.attach(misser(0))
+        solo.spawn(misser(0))
         t1 = solo.run().cycles
 
         p = 8
         eng = SMPEngine(p=p)
         for k in range(p):
-            eng.attach(misser(k * 10_000_000))
+            eng.spawn(misser(k * 10_000_000))
         tp = eng.run().cycles
         assert tp > t1 * 1.5
 
@@ -97,7 +97,7 @@ class TestBus:
                 yield isa.load(i * 1024)
 
         eng = SMPEngine(p=1)
-        eng.attach(prog())
+        eng.spawn(prog())
         r = eng.run()
         assert r.detail["bus_busy_cycles"] > 0
 
@@ -110,8 +110,8 @@ class TestBarriers:
             yield isa.compute(10)
 
         eng = SMPEngine(p=2)
-        eng.attach(prog(10))
-        eng.attach(prog(1000))
+        eng.spawn(prog(10))
+        eng.spawn(prog(1000))
         r = eng.run()
         c = SUN_E4500
         expected_min = 1000 * c.cpi + c.barrier_cycles(2)
@@ -125,8 +125,8 @@ class TestBarriers:
             yield isa.compute(1)
 
         eng = SMPEngine(p=2)
-        eng.attach(arrives())
-        eng.attach(skips())
+        eng.spawn(arrives())
+        eng.spawn(skips())
         with pytest.raises(DeadlockError):
             eng.run()
 
@@ -146,7 +146,7 @@ class TestFetchAdd:
         eng = SMPEngine(p=4)
         eng.set_counter(5, 0)
         for w in range(4):
-            eng.attach(worker(w))
+            eng.spawn(worker(w))
         eng.run()
         assert sorted(i for _, i in taken) == list(range(50))
         # more than one processor actually got work
@@ -156,13 +156,13 @@ class TestFetchAdd:
 class TestErrors:
     def test_attach_limit(self):
         eng = SMPEngine(p=1)
-        eng.attach(iter(()))
+        eng.spawn(iter(()))
         with pytest.raises(ConfigurationError):
-            eng.attach(iter(()))
+            eng.spawn(iter(()))
 
     def test_run_requires_full_attachment(self):
         eng = SMPEngine(p=2)
-        eng.attach(iter(()))
+        eng.spawn(iter(()))
         with pytest.raises(ConfigurationError):
             eng.run()
 
@@ -171,7 +171,7 @@ class TestErrors:
             yield ("??",)
 
         eng = SMPEngine(p=1)
-        eng.attach(prog())
+        eng.spawn(prog())
         with pytest.raises(SimulationError):
             eng.run()
 
@@ -187,6 +187,6 @@ class TestRunawayGuards:
                 yield isa.compute(1)
 
         eng = SMPEngine(p=1)
-        eng.attach(forever())
+        eng.spawn(forever())
         with pytest.raises(SimulationError):
-            eng.run(max_ops=1000)
+            eng.run(budget=1000)

@@ -30,6 +30,7 @@ from repro.analysis.static import (
     lint_repo,
     repo_root,
 )
+from repro.analysis.static.discipline import BANNED_CONSTRUCTORS
 from repro.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -266,13 +267,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "clean" in out
 
-    def test_lint_seeded_file_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("ctor", BANNED_CONSTRUCTORS)
+    def test_lint_seeded_file_fails(self, tmp_path, capsys, ctor):
         # a violation in a real lintable location -> exit 1
         bench = tmp_path / "benchmarks"
         bench.mkdir()
         (bench / "bench_direct.py").write_text(
-            "from repro.sim import MTAEngine\n\n\ndef test_x():\n"
-            "    return MTAEngine(p=2)\n"
+            f"from repro.sim import {ctor}\n\n\ndef test_x():\n"
+            f"    return {ctor}(p=2)\n"
         )
         from repro.analysis.static import lint_repo as lr
 
@@ -283,7 +285,7 @@ class TestCli:
         assert main(["lint", "--jsonl", "-", "--strict"]) == 0
         out = capsys.readouterr().out
         lines = [ln for ln in out.splitlines() if ln.startswith("{")]
-        # the 20 annotated sites surface as warnings under --strict
+        # the 16 annotated sites surface as warnings under --strict
         findings = load_jsonl("\n".join(lines))
         assert findings, "expected annotated findings under --strict"
         assert all(f.severity == "warning" for f in findings)

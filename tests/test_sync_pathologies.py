@@ -34,7 +34,7 @@ class TestMTAPathologies:
 
         eng.spawn(producer())
         with pytest.raises(DeadlockError) as exc:
-            eng.run("stuck", max_cycles=TIGHT_BUDGET)
+            eng.run("stuck", budget=TIGHT_BUDGET)
         assert "wait-empty" in str(exc.value)
 
     def test_mismatched_barrier_deadlocks_fast(self):
@@ -47,7 +47,7 @@ class TestMTAPathologies:
 
         eng.spawn(lonely())
         with pytest.raises(DeadlockError):
-            eng.run("stuck", max_cycles=TIGHT_BUDGET)
+            eng.run("stuck", budget=TIGHT_BUDGET)
 
     def test_checker_diagnoses_ssf_deadlock(self):
         report = rp.run_deadlock_ssf_full()
@@ -71,13 +71,13 @@ class TestSMPPathologies:
             yield isa.barrier("sync")
 
         for proc in range(2):
-            eng.attach(program(proc))
+            eng.spawn(program(proc))
 
     def test_mismatched_barrier_deadlocks_fast(self):
         eng = SMPEngine(p=2)
         self._lopsided(eng)
         with pytest.raises(DeadlockError) as exc:
-            eng.run("stuck", max_ops=TIGHT_BUDGET)
+            eng.run("stuck", budget=TIGHT_BUDGET)
         assert "barrier" in str(exc.value).lower()
 
     def test_checker_diagnoses_smp_barrier_mismatch(self):
@@ -85,7 +85,7 @@ class TestSMPPathologies:
         eng = SMPEngine(p=2, check=check)
         self._lopsided(eng)
         with pytest.raises(DeadlockError):
-            eng.run("stuck", max_ops=TIGHT_BUDGET)
+            eng.run("stuck", budget=TIGHT_BUDGET)
         [f] = check.report().errors
         assert f.check == "barrier-mismatch"
         assert f.witness["need"] == 2

@@ -40,8 +40,7 @@ from .test_sim_fuzz import _report_blob
 @pytest.mark.parametrize("engine_cls", [MTAEngine, SMPEngine])
 def test_explicit_vector_with_checker_raises(engine_cls):
     eng = engine_cls(p=1, check=ConcurrencyChecker(), tier="vector")
-    attach = eng.spawn if engine_cls is MTAEngine else eng.attach
-    attach(_gen([isa.compute(1)]))
+    eng.spawn(_gen([isa.compute(1)]))
     with pytest.raises(ConfigurationError, match="per-op instrumentation"):
         eng.run("t")
 
