@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..backends import create
 from ..backends.base import Workload
-from ..errors import ConfigurationError, DeadlockError, SimulationError
+from ..backends.engine import create_engine
+from ..errors import DeadlockError, SimulationError
 from .checker import ConcurrencyChecker
 from .findings import AnalysisReport
 
@@ -30,14 +30,12 @@ def analyze_workload(
     Only cycle-engine backends can be analyzed — analytic-model
     backends never materialize an op stream.  Engine deadlocks and
     simulation aborts become findings rather than exceptions, so a
-    buggy program yields a report, not a crash.
+    buggy program yields a report, not a crash.  ``max_findings`` keeps
+    the first findings and counts the rest in
+    ``stats["dropped_findings"]``; the capped report's ``errors`` and
+    ``ok()`` see only the kept ones.
     """
-    backend = create(backend_name)
-    if getattr(backend, "level", "model") != "engine":
-        raise ConfigurationError(
-            f"backend {backend_name!r} is not a cycle engine; "
-            f"only engine-level backends produce an op stream to analyze"
-        )
+    backend = create_engine(backend_name)
     checker = ConcurrencyChecker(
         strict=strict, program=f"{workload.kind}/{backend_name}"
     )

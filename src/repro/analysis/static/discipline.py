@@ -10,7 +10,10 @@ all) by ad-hoc runtime tests:
   comparable with everything else.  This promotes the PR 2
   ``test_benchmarks_go_through_the_runner`` source grep into a real AST
   rule; the two benchmarks whose *measurement* is the direct path carry
-  ``# allow_direct_engine: <reason>`` on those lines.
+  ``# allow_direct_engine: <reason>`` on those lines.  The CLI
+  (``repro.cli``) is held to the same rule: every command runs kernels
+  through the :mod:`repro.backends` registry, so there is one execution
+  path per concern.
 * Hooks speak only the 12 declared :data:`~repro.sim.hooks.HOOK_EVENTS`.
   A typo'd event name (``on_barier_release``) fails silently — the bus
   just never calls it — so both sides are checked: string event names
@@ -60,15 +63,23 @@ _HOOK_NON_EVENTS = {"tracer", "checker", "bus", "hooks"}
 
 
 class EngineDirectConstructRule(Rule):
-    """Benchmarks must submit Jobs to the runner, not build engines."""
+    """Benchmarks and the CLI run kernels through the runner and the
+    backends, never by building machines or engines."""
 
     id = "engine-direct-construct"
     family = "discipline"
 
     def applies(self, ctx: ModuleContext) -> bool:
-        return ctx.in_package("benchmarks")
+        return ctx.in_package("benchmarks", "repro.cli")
 
     def run(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.in_package("benchmarks"):
+            who = "benchmark"
+            fix_construct = "submit a Job to repro.core.run_jobs so caching/checkpointing apply"
+            fix_call = "use the engine backends via the sweep runner"
+        else:
+            who = "CLI"
+            fix_construct = fix_call = "run the workload through a repro.backends backend"
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -80,16 +91,14 @@ class EngineDirectConstructRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"benchmark constructs {bare} directly; submit a Job to "
-                    f"repro.core.run_jobs so caching/checkpointing apply",
+                    f"{who} constructs {bare} directly; {fix_construct}",
                     witness={"constructor": bare},
                 )
             elif bare.startswith("simulate_"):
                 yield self.finding(
                     ctx,
                     node,
-                    f"benchmark calls {bare} directly; use the engine backends "
-                    f"via the sweep runner",
+                    f"{who} calls {bare} directly; {fix_call}",
                     witness={"constructor": bare},
                 )
 

@@ -35,7 +35,7 @@ from typing import Any, Mapping
 
 from ..errors import ConfigurationError
 
-__all__ = ["Workload", "RunHandle", "Backend", "canonical_json"]
+__all__ = ["Workload", "RunHandle", "Backend", "canonical_json", "int_value"]
 
 
 def _jsonable(value):
@@ -58,6 +58,30 @@ def _jsonable(value):
 def canonical_json(obj) -> str:
     """Deterministic JSON for hashing: sorted keys, no whitespace."""
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+
+
+_REQUIRED = object()
+
+
+def int_value(mapping: Mapping[str, Any], key: str, default: Any = _REQUIRED):
+    """``mapping[key]`` as an int, or ``default`` when the key is absent
+    or None (a None default is returned as is).
+
+    Workload params and options arrive from the CLI and the service, so
+    a missing required key or a value that is not an integer raises
+    :class:`~repro.errors.ConfigurationError` naming the key and value.
+    """
+    value = mapping.get(key)
+    if value is None:
+        value = default
+    if value is _REQUIRED:
+        raise ConfigurationError(f"workload needs an integer {key!r}")
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{key}={value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

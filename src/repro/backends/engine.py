@@ -54,10 +54,10 @@ import functools
 from collections.abc import Mapping
 
 from ..errors import ConfigurationError
-from .base import Backend, RunHandle
-from .registry import register
+from .base import Backend, RunHandle, int_value
+from .registry import create, register
 
-__all__ = ["SMPEngineBackend", "MTAEngineBackend", "register_machine"]
+__all__ = ["SMPEngineBackend", "MTAEngineBackend", "create_engine", "register_machine"]
 
 
 class SMPEngineBackend(Backend):
@@ -79,7 +79,9 @@ class SMPEngineBackend(Backend):
                 raise ConfigurationError(f"bad SMP engine config: {exc}") from None
         self.config = cfg
 
-    def execute(self, handle: RunHandle, check=None):
+    def execute(self, handle: RunHandle, check=None, hooks=()):
+        """Run the prepared workload; ``hooks`` are extra
+        :class:`~repro.sim.hooks.HookBus` listeners for its engine."""
         workload = handle.workload
         opt = workload.options
         _reject_retired_options(workload)
@@ -89,21 +91,19 @@ class SMPEngineBackend(Backend):
         if workload.kind == "rank":
             from ..lists.programs import simulate_smp_list_ranking
 
-            kw = {}
-            if opt.get("s") is not None:
-                kw["s"] = int(opt["s"])
             sim = simulate_smp_list_ranking(
-                handle.data, p=workload.p, rng=workload.seed,
-                config=self.config, check=check, tier=tier, session=session, **kw,
+                handle.data, p=workload.p, s=int_value(opt, "s", None),
+                rng=workload.seed, config=self.config, check=check, hooks=hooks,
+                tier=tier, session=session,
             )
         else:
             from ..graphs.programs import simulate_smp_cc
 
             sim = simulate_smp_cc(
                 handle.data, p=workload.p,
-                max_iter=int(opt.get("max_iter", 64)),
-                config=self.config, check=check, tier=tier, session=session,
-                variant=opt.get("variant"),
+                max_iter=int_value(opt, "max_iter", 64),
+                config=self.config, check=check, hooks=hooks, tier=tier,
+                session=session, variant=opt.get("variant"),
             )
         return _finish(
             self.name, handle, sim.summary, session, check, attach_summary,
@@ -124,20 +124,23 @@ class MTAEngineBackend(Backend):
         self.engine = engine
         self.description = description
 
-    def execute(self, handle: RunHandle, check=None):
+    def execute(self, handle: RunHandle, check=None, hooks=()):
+        """Run the prepared workload; ``hooks`` are extra
+        :class:`~repro.sim.hooks.HookBus` listeners for every engine
+        the program constructs."""
         workload = handle.workload
         opt = workload.options
         _reject_retired_options(workload)
         check, attach_summary = _resolve_check(check, workload)
         if workload.kind == "chase":
-            return self._execute_chase(handle, check, attach_summary)
+            return self._execute_chase(handle, check, attach_summary, hooks)
         engine_kwargs = opt.get("engine_kwargs")
         if not isinstance(engine_kwargs, (Mapping, type(None))):
             raise ConfigurationError(
                 "engine_kwargs must be a mapping of engine parameters,"
                 f" got {type(engine_kwargs).__name__} {engine_kwargs!r}"
             )
-        engine_kwargs = dict(engine_kwargs or {})
+        engine_kwargs = dict(engine_kwargs or {}, hooks=hooks)
         engine_kwargs.setdefault("tier", _resolve_tier(workload, check))
         session = _resolve_session(workload, self.name, check)
         if workload.kind == "rank":
@@ -146,8 +149,8 @@ class MTAEngineBackend(Backend):
             sim = simulate_mta_list_ranking(
                 handle.data,
                 p=workload.p,
-                streams_per_proc=int(opt.get("streams_per_proc", 100)),
-                nodes_per_walk=int(opt.get("nodes_per_walk", 10)),
+                streams_per_proc=int_value(opt, "streams_per_proc", 100),
+                nodes_per_walk=int_value(opt, "nodes_per_walk", 10),
                 dynamic=bool(opt.get("dynamic", True)),
                 engine_kwargs=engine_kwargs,
                 check=check,
@@ -160,9 +163,9 @@ class MTAEngineBackend(Backend):
             sim = simulate_mta_cc(
                 handle.data,
                 p=workload.p,
-                streams_per_proc=int(opt.get("streams_per_proc", 100)),
-                edges_per_chunk=int(opt.get("edges_per_chunk", 16)),
-                max_iter=int(opt.get("max_iter", 64)),
+                streams_per_proc=int_value(opt, "streams_per_proc", 100),
+                edges_per_chunk=int_value(opt, "edges_per_chunk", 16),
+                max_iter=int_value(opt, "max_iter", 64),
                 engine_kwargs=engine_kwargs,
                 check=check,
                 engine=self.engine,
@@ -173,7 +176,7 @@ class MTAEngineBackend(Backend):
             iterations=getattr(sim, "iterations", None),
         )
 
-    def _execute_chase(self, handle: RunHandle, check=None, attach_summary=False):
+    def _execute_chase(self, handle: RunHandle, check=None, attach_summary=False, hooks=()):
         """The latency-hiding saturation microbenchmark: ``chasers``
         streams each alternating one compute with two dependent loads —
         the access pattern of a list walk."""
@@ -182,8 +185,8 @@ class MTAEngineBackend(Backend):
 
         workload = handle.workload
         opt = workload.options
-        chasers = int(handle.meta.get("chasers", 1))
-        steps = int(opt.get("steps", 40))
+        chasers = handle.meta.get("chasers", 1)
+        steps = int_value(opt, "steps", 40)
 
         def _chaser():
             for i in range(steps):
@@ -194,10 +197,11 @@ class MTAEngineBackend(Backend):
         session = _resolve_session(workload, self.name, check)
         eng = self.engine(
             p=workload.p,
-            streams_per_proc=int(opt.get("streams_per_proc", 128)),
-            mem_latency=int(opt.get("mem_latency", 100)),
-            lookahead=int(opt.get("lookahead", 2)),
+            streams_per_proc=int_value(opt, "streams_per_proc", 128),
+            mem_latency=int_value(opt, "mem_latency", 100),
+            lookahead=int_value(opt, "lookahead", 2),
             check=check,
+            hooks=hooks,
             tier=_resolve_tier(workload, check),
             session=session,
         )
@@ -223,6 +227,19 @@ def _finish(backend_name, handle, summary, session, check, attach_summary, itera
     if attach_summary:
         summary.detail["analysis"] = check.report().summary_dict()
     return summary
+
+
+def create_engine(name: str) -> Backend:
+    """Instantiate the registered backend ``name``, refusing one that is
+    not a cycle engine: analytic models never execute an op stream, so
+    there is nothing to trace or analyze."""
+    backend = create(name)
+    if backend.level != "engine":
+        raise ConfigurationError(
+            f"backend {name!r} is not a cycle engine; only engine-level"
+            " backends execute an op stream to trace or analyze"
+        )
+    return backend
 
 
 def register_machine(name: str, engine, *, description: str = "", xval: bool = False):

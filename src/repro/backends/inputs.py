@@ -15,7 +15,7 @@ from collections import OrderedDict
 from typing import Any
 
 from ..errors import ConfigurationError, WorkloadError
-from .base import Workload, canonical_json
+from .base import Workload, canonical_json, int_value
 
 __all__ = ["input_for", "clear_memo"]
 
@@ -34,7 +34,7 @@ def clear_memo() -> None:
 def _make_list(params: dict, seed: int):
     from ..lists.generate import clustered_list, ordered_list, random_list
 
-    n = int(params.get("n", 0))
+    n = int_value(params, "n", 0)
     if n < 1:
         raise WorkloadError(f"list workload needs n >= 1, got {n}")
     cls = params.get("list", "random")
@@ -43,7 +43,7 @@ def _make_list(params: dict, seed: int):
     elif cls == "random":
         nxt = random_list(n, rng=seed)
     elif cls == "clustered":
-        nxt = clustered_list(n, block=int(params.get("block", 1)), rng=seed)
+        nxt = clustered_list(n, block=int_value(params, "block", 1), rng=seed)
     else:
         raise ConfigurationError(f"unknown list class {cls!r}")
     return nxt, {"n": n, "list": cls}
@@ -61,19 +61,19 @@ def _make_graph(params: dict, seed: int):
 
     cls = params.get("graph", "random")
     if cls == "random":
-        n = int(params["n"])
-        m = int(params.get("m", 8 * n))
+        n = int_value(params, "n")
+        m = int_value(params, "m", 8 * n)
         g = random_graph(n, m, rng=seed)
     elif cls == "rmat":
         g = rmat_graph(
-            int(params["scale"]), int(params.get("edge_factor", 8)), rng=seed
+            int_value(params, "scale"), int_value(params, "edge_factor", 8), rng=seed
         )
     elif cls == "mesh":
-        rows = int(params.get("rows", params.get("side", 0)))
-        cols = int(params.get("cols", rows))
+        rows = int_value(params, "rows", int_value(params, "side", 0))
+        cols = int_value(params, "cols", rows)
         g = mesh2d(rows, cols)
     elif cls == "chain":
-        g = chain_graph(int(params["n"]))
+        g = chain_graph(int_value(params, "n"))
     else:
         raise ConfigurationError(f"unknown graph class {cls!r}")
 
@@ -95,7 +95,7 @@ def _make_graph(params: dict, seed: int):
 def _make_tree(params: dict, seed: int):
     from ..trees import random_expression_tree
 
-    leaves = int(params.get("leaves", 0))
+    leaves = int_value(params, "leaves", 0)
     if leaves < 1:
         raise WorkloadError(f"tree workload needs leaves >= 1, got {leaves}")
     t = random_expression_tree(leaves, rng=seed)
@@ -120,7 +120,7 @@ def _build(workload: Workload) -> tuple[Any, dict]:
         return _make_tree(params, seed)
     if kind == "chase":
         # pure synthetic access pattern; no materialized input
-        return None, {"chasers": int(params.get("chasers", 1))}
+        return None, {"chasers": int_value(params, "chasers", 1)}
     raise ConfigurationError(f"unknown workload kind {workload.kind!r}")
 
 

@@ -22,7 +22,7 @@ from collections import OrderedDict
 from typing import Any
 
 from ..errors import ConfigurationError
-from .base import Workload, _jsonable, canonical_json
+from .base import Workload, _jsonable, canonical_json, int_value
 
 __all__ = ["instrument", "algorithms_for", "extras_from_run", "clear_run_memo"]
 
@@ -47,47 +47,38 @@ def _rank_wyllie(nxt, p, seed, opt):
 def _rank_helman_jaja(nxt, p, seed, opt):
     from ..lists.helman_jaja import rank_helman_jaja
 
-    kw = {}
-    if opt.get("s") is not None:
-        kw["s"] = int(opt["s"])
     return rank_helman_jaja(
         nxt,
         p,
+        s=int_value(opt, "s", None),
         rng=opt.get("rng", seed),
         collect_traces=bool(opt.get("collect_traces", False)),
         schedule=opt.get("schedule", "dynamic"),
-        **kw,
     )
 
 
 def _rank_mta_walks(nxt, p, seed, opt):
     from ..lists.mta_ranking import rank_mta
 
-    kw = {}
-    if opt.get("nwalks") is not None:
-        kw["nwalks"] = int(opt["nwalks"])
     return rank_mta(
         nxt,
         p,
+        nwalks=int_value(opt, "nwalks", None),
         collect_traces=bool(opt.get("collect_traces", False)),
         schedule=opt.get("schedule", "dynamic"),
-        **kw,
     )
 
 
 def _rank_branch_avoiding(nxt, p, seed, opt):
     from ..lists.branch_avoiding import rank_branch_avoiding
 
-    kw = {}
-    if opt.get("s") is not None:
-        kw["s"] = int(opt["s"])
     return rank_branch_avoiding(
         nxt,
         p,
+        s=int_value(opt, "s", None),
         rng=opt.get("rng", seed),
         collect_traces=bool(opt.get("collect_traces", False)),
         schedule=opt.get("schedule", "dynamic"),
-        **kw,
     )
 
 
@@ -97,8 +88,8 @@ def _rank_compaction(nxt, p, seed, opt):
     return rank_by_compaction(
         nxt,
         p,
-        fanout=int(opt.get("fanout", 10)),
-        threshold=int(opt.get("threshold", 256)),
+        fanout=int_value(opt, "fanout", 10),
+        threshold=int_value(opt, "threshold", 256),
     )
 
 
@@ -136,43 +127,47 @@ def _cc_bfs(g, p, seed, opt):
 def _cc_sv_pram(g, p, seed, opt):
     from ..graphs.shiloach_vishkin import sv_pram
 
-    return sv_pram(g, p=p, max_iter=opt.get("max_iter"))
+    return sv_pram(g, p=p, max_iter=int_value(opt, "max_iter", None))
 
 
 def _cc_sv_mta(g, p, seed, opt):
     from ..graphs.sv_mta import sv_mta
 
-    return sv_mta(g, p=p, max_iter=opt.get("max_iter"))
+    return sv_mta(g, p=p, max_iter=int_value(opt, "max_iter", None))
 
 
 def _cc_sv_smp(g, p, seed, opt):
     from ..graphs.sv_smp import sv_smp
 
-    return sv_smp(g, p=p, max_iter=opt.get("max_iter"))
+    return sv_smp(g, p=p, max_iter=int_value(opt, "max_iter", None))
 
 
 def _cc_sv_smp_branch_avoiding(g, p, seed, opt):
     from ..graphs.variants import sv_smp_branch_avoiding
 
-    return sv_smp_branch_avoiding(g, p=p, max_iter=opt.get("max_iter"))
+    return sv_smp_branch_avoiding(g, p=p, max_iter=int_value(opt, "max_iter", None))
 
 
 def _cc_awerbuch_shiloach(g, p, seed, opt):
     from ..graphs.variants import awerbuch_shiloach
 
-    return awerbuch_shiloach(g, p=p, max_iter=opt.get("max_iter"))
+    return awerbuch_shiloach(g, p=p, max_iter=int_value(opt, "max_iter", None))
 
 
 def _cc_random_mating(g, p, seed, opt):
     from ..graphs.variants import random_mating
 
-    return random_mating(g, p=p, rng=opt.get("rng", seed), max_iter=opt.get("max_iter"))
+    return random_mating(
+        g, p=p, rng=opt.get("rng", seed), max_iter=int_value(opt, "max_iter", None)
+    )
 
 
 def _cc_hybrid(g, p, seed, opt):
     from ..graphs.variants import hybrid_cc
 
-    return hybrid_cc(g, p=p, rng=opt.get("rng", seed), max_iter=opt.get("max_iter"))
+    return hybrid_cc(
+        g, p=p, rng=opt.get("rng", seed), max_iter=int_value(opt, "max_iter", None)
+    )
 
 
 _CC.update(
@@ -193,7 +188,7 @@ _CC.update(
 def _bfs(g, p, seed, opt):
     from ..graphs.parallel_bfs import parallel_bfs
 
-    return parallel_bfs(g, source=int(opt.get("source", 0)), p=p)
+    return parallel_bfs(g, source=int_value(opt, "source", 0), p=p)
 
 
 def _msf(data, p, seed, opt):
@@ -280,7 +275,7 @@ def instrument(workload: Workload, data: Any, *, default_algorithm: str | None =
             f"unknown {workload.kind} algorithm {algorithm!r}"
             f" (available: {', '.join(sorted(table))})"
         )
-    run_p = int(workload.option("instrument_p", workload.p))
+    run_p = int_value(workload.options, "instrument_p", workload.p)
     opts = {k: v for k, v in workload.options.items() if k != "instrument_p"}
     memo_key = canonical_json(
         {

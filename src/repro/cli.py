@@ -5,25 +5,21 @@ without writing Python:
 
 ``info``
     Machine configurations and library version.
-``rank``
-    Rank one list on one machine; prints simulated time, speedup vs
-    sequential, and the cost triplet.
-``cc``
-    Connected components on one graph; prints per-machine times.
-``fig1`` / ``fig2`` / ``table1``
-    Miniature versions of the paper's evaluation artifacts (the full
-    archival runs live in ``benchmarks/``).
-``trace``
-    Run a workload on a cycle engine with tracing on; writes a Chrome
-    ``trace_event`` JSON (load it at https://ui.perfetto.dev) or compact
-    JSONL, and prints the per-phase summary and contention profile.
 ``backends``
     List the registered execution backends (three analytic machine
-    models, two cycle-level engines, plus anything user-registered).
+    models, three cycle-level engines, the ``cost-xval`` pairing, plus
+    anything user-registered).
 ``run``
     Run one declarative workload on one backend through the sweep
     runner: ``repro run --workload rank --backend smp-model --n 65536
-    --p 8``.
+    --p 8``.  Every point of the paper's figures and tables is one
+    ``run`` (and every whole figure one ``sweep``) away.
+``trace``
+    Run one workload on a cycle-engine backend with tracing on
+    (``repro trace --workload rank --backend mta-engine``); writes a
+    Chrome ``trace_event`` JSON (load it at https://ui.perfetto.dev) or
+    compact JSONL, and prints the per-phase summary and the contention
+    profile merged over every engine run of the program.
 ``xval``
     Cross-validate an analytic machine model against the matching
     cycle engine on one workload: both stacks run the identical input,
@@ -43,7 +39,8 @@ without writing Python:
     shape); same output schema and flags as ``analyze`` (``--jsonl``,
     ``--strict``), exit 1 on errors.  Must pass before every PR.
 ``sweep``
-    Execute a named figure/table sweep across every grid point, with a
+    Execute a named figure/table sweep (``fig1``, ``fig2``, ``table1``
+    and their ``-tiny`` variants) across every grid point, with a
     process pool (``--workers N``) and the on-disk result cache; cache
     statistics go to stderr so stdout stays byte-identical between cold
     and warm runs.
@@ -67,6 +64,8 @@ without writing Python:
     ``--resume`` restores an explicit artifact.  See
     ``docs/SIMULATION.md``, "Checkpoint & resume".
 
+``run``, ``trace``, ``analyze`` and ``submit`` share the workload
+flags ``--workload/--backend/--n/--p/--seed/--param K=V/--opt K=V``.
 Every command accepts ``--help``.  Exit code 0 on success; workload or
 configuration errors print a message and return 2.
 """
@@ -78,11 +77,8 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
-from .core import CRAY_MTA2, MTAMachine, SMPMachine, SUN_E4500
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -97,47 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="show machine configurations")
+    sub.add_parser("info", help="show machine configurations").set_defaults(func=_cmd_info)
 
-    p_rank = sub.add_parser("rank", help="rank one list on one machine")
-    p_rank.add_argument("--n", type=int, default=1 << 18, help="list length")
-    p_rank.add_argument("--p", type=int, default=8, help="processors")
-    p_rank.add_argument(
-        "--list", choices=("ordered", "random"), default="random", dest="list_class"
+    p_tr = sub.add_parser(
+        "trace", help="record a cycle-engine backend run as an event trace"
     )
-    p_rank.add_argument("--machine", choices=("smp", "mta", "both"), default="both")
-    p_rank.add_argument("--seed", type=int, default=0)
-
-    p_cc = sub.add_parser("cc", help="connected components on one graph")
-    p_cc.add_argument("--n", type=int, default=1 << 16, help="vertices")
-    p_cc.add_argument("--edge-factor", type=int, default=8, help="m = factor * n")
-    p_cc.add_argument("--p", type=int, default=8, help="processors")
-    p_cc.add_argument(
-        "--graph", choices=("random", "rmat", "mesh"), default="random"
-    )
-    p_cc.add_argument("--seed", type=int, default=0)
-
-    p_f1 = sub.add_parser("fig1", help="miniature Fig. 1 sweep")
-    p_f1.add_argument("--max-n", type=int, default=1 << 18)
-
-    p_f2 = sub.add_parser("fig2", help="miniature Fig. 2 sweep")
-    p_f2.add_argument("--n", type=int, default=1 << 18)
-
-    p_t1 = sub.add_parser("table1", help="engine-measured MTA utilization")
-    p_t1.add_argument("--nodes-per-proc", type=int, default=8000)
-
-    p_tr = sub.add_parser("trace", help="record a cycle-engine run as an event trace")
-    p_tr.add_argument(
-        "workload",
-        choices=("rank-mta", "rank-smp", "cc-mta", "cc-smp"),
-        help="which simulation to trace",
-    )
-    p_tr.add_argument("--n", type=int, default=2048, help="list nodes / graph vertices")
-    p_tr.add_argument("--p", type=int, default=4, help="processors")
-    p_tr.add_argument("--seed", type=int, default=0)
-    p_tr.add_argument(
-        "--streams", type=int, default=16, help="streams per processor (MTA workloads)"
-    )
+    _add_workload_args(p_tr, n=2048, p=4)
     p_tr.add_argument(
         "--level",
         choices=("phase", "op"),
@@ -154,38 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument(
         "--out",
         default=None,
-        help="output path (default: trace-<workload>.json / .jsonl)",
+        help="output path (default: trace-<workload>-<backend>.json / .jsonl)",
     )
+    p_tr.set_defaults(func=_cmd_trace)
 
     p_be = sub.add_parser("backends", help="list registered execution backends")
     p_be.add_argument("--json", action="store_true", help="machine-readable output")
+    p_be.set_defaults(func=_cmd_backends)
 
     p_run = sub.add_parser(
         "run", help="run one workload on one backend via the sweep runner"
     )
-    p_run.add_argument(
-        "--workload",
-        required=True,
-        help="workload kind (rank, cc, bfs, msf, tree, chase)",
-    )
-    p_run.add_argument("--backend", required=True, help="backend name (see `repro backends`)")
-    p_run.add_argument("--n", type=int, default=None, help="problem size")
-    p_run.add_argument("--p", type=int, default=8, help="processors")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="extra input parameter (repeatable), e.g. --param list=ordered",
-    )
-    p_run.add_argument(
-        "--opt",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="kernel/backend option (repeatable), e.g. --opt algorithm=wyllie",
-    )
+    _add_workload_args(p_run)
     p_run.add_argument("--json", action="store_true", help="print the full record as JSON")
     _add_cache_args(p_run)
     _add_checkpoint_args(p_run)
@@ -196,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from an explicit checkpoint artifact (path or content"
         " id); a stale artifact is an error",
     )
+    p_run.set_defaults(func=_cmd_run)
 
     p_xv = sub.add_parser(
         "xval", help="cross-validate an analytic model against a cycle engine"
@@ -242,36 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_xv.add_argument("--json", action="store_true", help="full report as JSON")
     _add_cache_args(p_xv)
+    p_xv.set_defaults(func=_cmd_xval)
 
     p_an = sub.add_parser(
         "analyze", help="concurrency analysis of a workload's op streams"
     )
-    p_an.add_argument(
-        "--workload",
-        default=None,
-        help="workload kind (rank, cc, chase); omit with --all",
-    )
-    p_an.add_argument(
-        "--backend",
-        default="mta-engine",
-        help="cycle-engine backend to execute under the checker",
-    )
+    _add_workload_args(p_an, required=False, backend="mta-engine", p=2)
     p_an.add_argument(
         "--all",
         action="store_true",
         dest="all_programs",
         help="analyze every registered paper program instead of one workload",
-    )
-    p_an.add_argument("--n", type=int, default=None, help="problem size")
-    p_an.add_argument("--p", type=int, default=2, help="processors")
-    p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument(
-        "--param", action="append", default=[], metavar="K=V",
-        help="extra input parameter (repeatable)",
-    )
-    p_an.add_argument(
-        "--opt", action="append", default=[], metavar="K=V",
-        help="kernel/backend option (repeatable)",
     )
     p_an.add_argument(
         "--strict",
@@ -285,8 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write findings as JSON Lines ('-' = stdout)",
     )
     p_an.add_argument(
-        "--max-findings", type=int, default=200, help="cap on reported findings"
+        "--max-findings",
+        type=int,
+        default=200,
+        help="cap on findings printed or written per program (the status"
+        " line and exit code count them all)",
     )
+    p_an.set_defaults(func=_cmd_analyze)
 
     p_li = sub.add_parser(
         "lint", help="static analysis of the repo's own sources"
@@ -329,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate the state-contract baseline from the current tree"
         " and exit",
     )
+    p_li.set_defaults(func=_cmd_lint)
 
     p_sw = sub.add_parser("sweep", help="run a named figure/table sweep")
     p_sw.add_argument(
@@ -347,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(p_sw)
     _add_checkpoint_args(p_sw)
+    p_sw.set_defaults(func=_cmd_sweep)
 
     p_sv = sub.add_parser(
         "serve", help="run the async experiment service (JSON over HTTP)"
@@ -383,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(p_sv)
     _add_checkpoint_args(p_sv)
+    p_sv.set_defaults(func=_cmd_serve)
 
     p_sub = sub.add_parser(
         "submit", help="submit a workload or sweep to a running service"
@@ -392,19 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument(
         "--spec", default=None, help="named sweep (fig1, fig1-tiny, ...)"
     )
-    p_sub.add_argument("--workload", default=None, help="workload kind (rank, cc, ...)")
-    p_sub.add_argument("--backend", default=None, help="backend name")
-    p_sub.add_argument("--n", type=int, default=None, help="problem size")
-    p_sub.add_argument("--p", type=int, default=8, help="processors")
-    p_sub.add_argument("--seed", type=int, default=0)
-    p_sub.add_argument(
-        "--param", action="append", default=[], metavar="K=V",
-        help="extra input parameter (repeatable)",
-    )
-    p_sub.add_argument(
-        "--opt", action="append", default=[], metavar="K=V",
-        help="kernel/backend option (repeatable)",
-    )
+    _add_workload_args(p_sub, required=False)
     p_sub.add_argument("--priority", type=int, default=0)
     p_sub.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -433,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wait-timeout", type=float, default=600.0, help="polling budget (seconds)"
     )
     p_sub.add_argument("--json", action="store_true", help="print the full job view")
+    p_sub.set_defaults(func=_cmd_submit)
 
     p_ca = sub.add_parser("cache", help="inspect or prune the on-disk result cache")
     p_ca.add_argument(
@@ -464,8 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="keep at most N bytes of checkpoint artifacts",
     )
+    p_ca.set_defaults(func=_cmd_cache)
 
     p_ck = sub.add_parser("checkpoint", help="inspect checkpoint artifacts")
+    p_ck.set_defaults(func=_cmd_checkpoint)
     ck_sub = p_ck.add_subparsers(dest="ck_command", required=True)
     ck_ls = ck_sub.add_parser("ls", help="list artifacts (headers only)")
     ck_info = ck_sub.add_parser("info", help="dump one artifact's header")
@@ -481,6 +403,48 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     return parser
+
+
+def _add_workload_args(
+    parser: argparse.ArgumentParser,
+    *,
+    required: bool = True,
+    backend: str | None = None,
+    n: int | None = None,
+    p: int = 8,
+) -> None:
+    """The workload flags ``run``, ``trace``, ``analyze`` and ``submit``
+    share, with per-command defaults; :func:`_workload` turns them into
+    a Workload."""
+    parser.add_argument(
+        "--workload",
+        required=required,
+        default=None,
+        help="workload kind (rank, cc, bfs, msf, tree, chase)",
+    )
+    parser.add_argument(
+        "--backend",
+        required=required and backend is None,
+        default=backend,
+        help="backend name (see `repro backends`)",
+    )
+    parser.add_argument("--n", type=int, default=n, help="problem size (tree: leaves)")
+    parser.add_argument("--p", type=int, default=p, help="processors")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        metavar="K=V",
+        help="input parameter (repeatable), e.g. --param list=ordered",
+    )
+    parser.add_argument(
+        "--opt",
+        action="append",
+        default=[],
+        metavar="K=V",
+        help="kernel/backend option (repeatable), e.g. --opt algorithm=wyllie",
+    )
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
@@ -512,8 +476,6 @@ def _add_checkpoint_args(p: argparse.ArgumentParser) -> None:
 def _positive(flag: str, value):
     """Reject non-positive count flags with a structured CLI error."""
     if value is not None and value < 1:
-        from .errors import ConfigurationError
-
         raise ConfigurationError(f"{flag} must be >= 1, got {value}")
     return value
 
@@ -523,8 +485,6 @@ def _check_out_dir(flag: str, path) -> None:
     (the write comes last).  ``-`` (stdout) and None are exempt."""
     directory = os.path.dirname(path or "") or "."
     if path != "-" and not os.path.isdir(directory):
-        from .errors import ConfigurationError
-
         raise ConfigurationError(f"{flag} {path}: output directory {directory} does not exist")
 
 
@@ -540,7 +500,29 @@ def _checkpoint_spec(args) -> dict | None:
     return spec or None
 
 
-def _cmd_info() -> int:
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+
+
+def _workload(args):
+    """The Workload the shared workload flags describe (``--n`` is the
+    ``n`` param, or ``leaves`` for trees; an explicit ``--param`` wins)."""
+    from .backends import Workload
+
+    params = _parse_kv(args.param, "--param")
+    if args.n is not None:
+        params.setdefault("leaves" if args.workload == "tree" else "n", args.n)
+    return Workload(args.workload, args.p, args.seed, params, _parse_kv(args.opt, "--opt"))
+
+
+def _cmd_info(args) -> int:
+    from .core import CRAY_MTA2, SUN_E4500
+
     print(f"repro {__version__}")
     for cfg in (SUN_E4500, CRAY_MTA2):
         print(f"\n{cfg.name}:")
@@ -549,196 +531,35 @@ def _cmd_info() -> int:
     return 0
 
 
-def _cmd_rank(args) -> int:
-    from .lists import (
-        ordered_list,
-        random_list,
-        rank_helman_jaja,
-        rank_mta,
-        rank_sequential,
-        true_ranks,
-    )
-
-    nxt = (
-        ordered_list(args.n)
-        if args.list_class == "ordered"
-        else random_list(args.n, args.seed)
-    )
-    truth = true_ranks(nxt)
-    t_seq = SMPMachine(p=1).run(rank_sequential(nxt).steps).seconds
-    print(f"{args.list_class} list, n={args.n}, p={args.p}")
-    print(f"  sequential (1 CPU)    : {t_seq * 1e3:10.3f} ms")
-    if args.machine in ("smp", "both"):
-        run = rank_helman_jaja(nxt, p=args.p, rng=args.seed)
-        assert np.array_equal(run.ranks, truth)
-        t = SMPMachine(p=args.p).run(run.steps).seconds
-        print(
-            f"  SMP Helman-JaJa       : {t * 1e3:10.3f} ms"
-            f"   speedup {t_seq / t:5.2f}x   {run.triplet}"
-        )
-    if args.machine in ("mta", "both"):
-        run = rank_mta(nxt, p=args.p)
-        assert np.array_equal(run.ranks, truth)
-        res = MTAMachine(p=args.p).run(run.steps)
-        print(
-            f"  MTA Alg.1 walks       : {res.seconds * 1e3:10.3f} ms"
-            f"   speedup {t_seq / res.seconds:5.2f}x   util {res.utilization:.0%}"
-        )
-    return 0
-
-
-def _cmd_cc(args) -> int:
-    from .graphs import cc_union_find, mesh2d, random_graph, rmat_graph, sv_mta, sv_smp
-
-    n = args.n
-    if args.graph == "random":
-        g = random_graph(n, args.edge_factor * n, rng=args.seed)
-    elif args.graph == "rmat":
-        g = rmat_graph(max(1, n.bit_length() - 1), args.edge_factor, rng=args.seed)
-    else:
-        side = max(1, int(n**0.5))
-        g = mesh2d(side, side)
-    uf = cc_union_find(g)
-    print(f"{args.graph} graph, n={g.n}, m={g.m}, p={args.p}: {uf.n_components} component(s)")
-    t_seq = SMPMachine(p=1).run(uf.steps).seconds
-    print(f"  sequential union-find : {t_seq * 1e3:10.3f} ms")
-    smp_run = sv_smp(g, p=args.p)
-    assert np.array_equal(smp_run.labels, uf.labels)
-    t = SMPMachine(p=args.p).run(smp_run.steps).seconds
-    print(
-        f"  SMP Shiloach-Vishkin  : {t * 1e3:10.3f} ms"
-        f"   speedup {t_seq / t:5.2f}x   ({smp_run.iterations} iterations)"
-    )
-    mta_run = sv_mta(g, p=args.p, max_iter=600)
-    assert np.array_equal(mta_run.labels, uf.labels)
-    t = MTAMachine(p=args.p).run(mta_run.steps).seconds
-    print(
-        f"  MTA Shiloach-Vishkin  : {t * 1e3:10.3f} ms"
-        f"   speedup {t_seq / t:5.2f}x   ({mta_run.iterations} iterations)"
-    )
-    from .core import ClusterMachine
-
-    t = ClusterMachine(p=args.p).run(smp_run.steps).seconds
-    print(
-        f"  cluster (naive DSM)   : {t * 1e3:10.3f} ms"
-        f"   speedup {t_seq / t:5.2f}x   (the paper's intro claim)"
-    )
-    return 0
-
-
-def _cmd_fig1(args) -> int:
-    from .core import ascii_plot
-    from .lists import ordered_list, random_list, rank_helman_jaja, rank_mta
-
-    sizes = [args.max_n >> 2, args.max_n >> 1, args.max_n]
-    series: dict[str, tuple[list, list]] = {}
-    for label in ("ord", "rand"):
-        for machine in ("smp", "mta"):
-            series[f"{machine}-{label}"] = ([], [])
-    for n in sizes:
-        for label, nxt in (("ord", ordered_list(n)), ("rand", random_list(n, 0))):
-            smp = SMPMachine(p=8).run(rank_helman_jaja(nxt, p=8, rng=0).steps).seconds
-            mta = MTAMachine(p=8).run(rank_mta(nxt, p=8).steps).seconds
-            series[f"smp-{label}"][0].append(n)
-            series[f"smp-{label}"][1].append(smp)
-            series[f"mta-{label}"][0].append(n)
-            series[f"mta-{label}"][1].append(mta)
-    print(
-        ascii_plot(
-            series,
-            logx=True,
-            logy=True,
-            title="Fig. 1 (p=8): list ranking, simulated seconds",
-            xlabel="n",
-            ylabel="seconds",
-        )
-    )
-    return 0
-
-
-def _cmd_fig2(args) -> int:
-    from .graphs import random_graph, sv_mta, sv_smp
-
-    n = args.n
-    print(f"Fig. 2 miniature: n={n}, p=8 (simulated seconds)")
-    print(f"{'m':>10} {'SMP':>10} {'MTA':>10} {'ratio':>7}")
-    for k in (4, 12, 20):
-        g = random_graph(n, k * n, rng=1)
-        smp_run = sv_smp(g, p=1)
-        mta_run = sv_mta(g, p=1)
-        t_smp = SMPMachine(p=8).run([s.redistributed(8) for s in smp_run.steps]).seconds
-        t_mta = MTAMachine(p=8).run([s.redistributed(8) for s in mta_run.steps]).seconds
-        print(f"{k * n:>10} {t_smp:>10.4f} {t_mta:>10.4f} {t_smp / t_mta:>6.1f}x")
-    return 0
-
-
-def _cmd_table1(args) -> int:
-    from .lists import random_list, true_ranks
-    from .lists.programs import simulate_mta_list_ranking
-
-    print("engine-measured MTA utilization (list ranking, 100 streams/proc)")
-    print(f"{'p':>2} {'n':>8} {'util':>7}")
-    for p in (1, 4, 8):
-        n = args.nodes_per_proc * p
-        nxt = random_list(n, 0)
-        sim = simulate_mta_list_ranking(nxt, p=p, streams_per_proc=100, nodes_per_walk=10)
-        assert np.array_equal(sim.ranks, true_ranks(nxt))
-        print(f"{p:>2} {n:>8} {sim.report.utilization:>6.1%}")
-    return 0
-
-
 def _cmd_trace(args) -> int:
-    from .obs import ContentionProfile, Tracer, write_chrome_trace, write_jsonl
+    from .backends.engine import create_engine
+    from .obs import ContentionMonitor, Tracer, write_chrome_trace, write_jsonl
+    from .sim.hooks import TracerHook
 
     _check_out_dir("--out", args.out)
+    workload = _workload(args)
+    backend = create_engine(args.backend)
     tracer = Tracer(level=args.level)
-    if args.workload == "rank-mta":
-        from .lists import random_list, true_ranks
-        from .lists.programs import simulate_mta_list_ranking
-
-        sim = simulate_mta_list_ranking(
-            random_list(args.n, args.seed),
-            p=args.p,
-            streams_per_proc=args.streams,
-            tracer=tracer,
-        )
-        assert np.array_equal(sim.ranks, true_ranks(random_list(args.n, args.seed)))
-    elif args.workload == "rank-smp":
-        from .lists import random_list, true_ranks
-        from .lists.programs import simulate_smp_list_ranking
-
-        sim = simulate_smp_list_ranking(
-            random_list(args.n, args.seed), p=args.p, rng=args.seed, tracer=tracer
-        )
-        assert np.array_equal(sim.ranks, true_ranks(random_list(args.n, args.seed)))
-    elif args.workload == "cc-mta":
-        from .graphs import random_graph
-        from .graphs.programs import simulate_mta_cc
-
-        g = random_graph(args.n, 4 * args.n, rng=args.seed)
-        sim = simulate_mta_cc(g, p=args.p, streams_per_proc=args.streams, tracer=tracer)
-    else:  # cc-smp
-        from .graphs import random_graph
-        from .graphs.programs import simulate_smp_cc
-
-        g = random_graph(args.n, 4 * args.n, rng=args.seed)
-        sim = simulate_smp_cc(g, p=args.p, tracer=tracer)
-
-    summary = sim.summary
+    # one monitor sees every engine run of a multi-phase program
+    monitor = ContentionMonitor()
+    summary = backend.execute(
+        backend.prepare(workload), hooks=(TracerHook(tracer), monitor)
+    )
     summary.validate()  # phase cycles must partition the run exactly
 
     out = args.out
     if out is None:
         ext = "json" if args.fmt == "chrome" else "jsonl"
-        out = f"trace-{args.workload}.{ext}"
+        out = f"trace-{args.workload}-{args.backend}.{ext}"
     if args.fmt == "chrome":
-        write_chrome_trace(tracer.events, out, metadata={"workload": args.workload})
+        metadata = {"workload": workload.canonical(), "backend": args.backend}
+        write_chrome_trace(tracer.events, out, metadata=metadata)
     else:
         write_jsonl(tracer.events, out)
 
     print(summary.table())
     print()
-    print(ContentionProfile.from_reports(sim.phase_reports).render())
+    print(monitor.profile.render())
     print()
     print(f"{len(tracer.events)} event(s) -> {out}")
     if args.fmt == "chrome":
@@ -748,8 +569,6 @@ def _cmd_trace(args) -> int:
 
 def _parse_kv(pairs: list[str], what: str) -> dict:
     """``k=v`` strings → a dict with ints/floats/bools coerced."""
-    from .errors import ConfigurationError
-
     out = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
@@ -804,8 +623,6 @@ def _cmd_serve(args) -> int:
 
 
 def _submit_body(args) -> dict:
-    from .errors import ConfigurationError
-
     if (args.spec is None) == (args.workload is None):
         raise ConfigurationError(
             "submit needs exactly one of --spec or --workload/--backend"
@@ -816,17 +633,7 @@ def _submit_body(args) -> dict:
     else:
         if args.backend is None:
             raise ConfigurationError("--workload also needs --backend")
-        params = _parse_kv(args.param, "--param")
-        if args.n is not None:
-            key = "leaves" if args.workload == "tree" else "n"
-            params.setdefault(key, args.n)
-        body["workload"] = {
-            "kind": args.workload,
-            "p": args.p,
-            "seed": args.seed,
-            "params": params,
-            "options": _parse_kv(args.opt, "--opt"),
-        }
+        body["workload"] = _workload(args).canonical()
         body["backend"] = args.backend
     if args.priority:
         body["priority"] = args.priority
@@ -997,12 +804,7 @@ def _cmd_xval(args) -> int:
     [result] = run_jobs([job], workers=1, cache=_make_cache(args))
     report = DivergenceReport.from_dict(result.detail["xval"])
     if args.jsonl is not None:
-        text = report.jsonl()
-        if args.jsonl == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.jsonl, "w", encoding="utf-8") as f:
-                f.write(text)
+        _write_text(args.jsonl, report.jsonl())
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif args.jsonl != "-":
@@ -1011,15 +813,9 @@ def _cmd_xval(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .backends import Workload
     from .core.runner import Job, run_jobs
 
-    params = _parse_kv(args.param, "--param")
-    if args.n is not None:
-        key = "leaves" if args.workload == "tree" else "n"
-        params.setdefault(key, args.n)
-    options = _parse_kv(args.opt, "--opt")
-    workload = Workload(args.workload, args.p, args.seed, params, options)
+    workload = _workload(args)
     job = Job(workload, args.backend)
     [result] = run_jobs(
         [job], workers=1, cache=_make_cache(args), checkpoint=_checkpoint_spec(args)
@@ -1043,39 +839,25 @@ def _cmd_run(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from .analysis import analyze_suite, analyze_workload, dump_jsonl
-    from .backends import Workload
-    from .errors import ConfigurationError
 
     _check_out_dir("--jsonl", args.jsonl)
+    cap = args.max_findings
+    if cap < 0:
+        raise ConfigurationError(f"--max-findings must be >= 0, got {cap}")
     if args.all_programs:
         if args.workload is not None:
             raise ConfigurationError("--all and --workload are mutually exclusive")
-        named = analyze_suite(strict=args.strict, max_findings=args.max_findings)
+        named = analyze_suite(strict=args.strict)
     else:
         if args.workload is None:
             raise ConfigurationError("analyze needs --workload or --all")
-        params = _parse_kv(args.param, "--param")
-        if args.n is not None:
-            key = "leaves" if args.workload == "tree" else "n"
-            params.setdefault(key, args.n)
-        workload = Workload(
-            args.workload, args.p, args.seed, params, _parse_kv(args.opt, "--opt")
-        )
-        report = analyze_workload(
-            workload, args.backend, strict=args.strict,
-            max_findings=args.max_findings,
-        )
+        report = analyze_workload(_workload(args), args.backend, strict=args.strict)
         named = [(f"{args.workload}/{args.backend}", report)]
 
-    findings = [f for _, report in named for f in report.findings]
+    # the cap limits what is printed or written; the status line and
+    # the exit code count every finding
     if args.jsonl is not None:
-        text = dump_jsonl(findings)
-        if args.jsonl == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.jsonl, "w", encoding="utf-8") as f:
-                f.write(text)
-
+        _write_text(args.jsonl, dump_jsonl(f for _, r in named for f in r.findings[:cap]))
     errors = 0
     for name, report in named:
         s = report.stats
@@ -1085,21 +867,21 @@ def _cmd_analyze(args) -> int:
             status += f", {len(report.warnings)} warning(s)"
         suppressed = s.get("suppressed_races", 0)
         note = f", {suppressed} annotated race(s) suppressed" if suppressed else ""
+        if len(report.findings) > cap:
+            note += f", {len(report.findings) - cap} over --max-findings not shown"
         print(
             f"{name}: {status}{note}  "
             f"[{s.get('ops', 0)} ops, {s.get('threads', 0)} threads, "
             f"{len(s.get('runs', []))} run(s), FA top-share {fa.get('top_share', 0.0):.0%}]"
         )
         if args.jsonl != "-":
-            for f in report.findings:
+            for f in report.findings[:cap]:
                 print(f"  {f.render()}")
         errors += len(report.errors)
     return 1 if errors else 0
 
 
 def _cmd_lint(args) -> int:
-    import os as _os
-
     from .analysis import dump_jsonl
     from .analysis.static import (
         STATE_BASELINE_PATH,
@@ -1110,10 +892,8 @@ def _cmd_lint(args) -> int:
 
     if args.write_state_baseline:
         _check_out_dir("--state-baseline", args.state_baseline)
-        path = args.state_baseline or _os.path.join(repo_root(), STATE_BASELINE_PATH)
-        text = collect_state_baseline(args.paths)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        path = args.state_baseline or os.path.join(repo_root(), STATE_BASELINE_PATH)
+        _write_text(path, collect_state_baseline(args.paths))
         print(f"wrote state-contract baseline: {path}")
         return 0
 
@@ -1125,12 +905,7 @@ def _cmd_lint(args) -> int:
         state_baseline_path=args.state_baseline,
     )
     if args.jsonl is not None:
-        text = dump_jsonl(report.findings)
-        if args.jsonl == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.jsonl, "w", encoding="utf-8") as f:
-                f.write(text)
+        _write_text(args.jsonl, dump_jsonl(report.findings))
 
     s = report.stats
     status = "clean" if report.ok() else f"{len(report.errors)} error(s)"
@@ -1170,11 +945,7 @@ def _cmd_sweep(args) -> int:
         print(f"{cells}  {r.seconds:>14.6e}  {r.utilization:>11.4f}")
 
     if args.jsonl is not None:
-        if args.jsonl == "-":
-            sys.stdout.write(write_jsonl(results))
-        else:
-            with open(args.jsonl, "w", encoding="utf-8") as f:
-                write_jsonl(results, f)
+        _write_text(args.jsonl, write_jsonl(results))
     if cache is not False and cache is not None:
         print(cache.stats_line(), file=sys.stderr)
     return 0
@@ -1185,41 +956,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "info":
-            return _cmd_info()
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "cc":
-            return _cmd_cc(args)
-        if args.command == "fig1":
-            return _cmd_fig1(args)
-        if args.command == "fig2":
-            return _cmd_fig2(args)
-        if args.command == "table1":
-            return _cmd_table1(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "backends":
-            return _cmd_backends(args)
-        if args.command == "xval":
-            return _cmd_xval(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-        if args.command == "checkpoint":
-            return _cmd_checkpoint(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "submit":
-            return _cmd_submit(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1229,4 +966,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    return 0

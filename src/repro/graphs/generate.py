@@ -40,6 +40,8 @@ def random_graph(n: int, m: int, rng: np.random.Generator | int | None = None) -
     exist; the result is returned in random order (the paper's
     "arbitrary order" edge array).
     """
+    if m < 0:
+        raise WorkloadError(f"edge count m={m} must be >= 0")
     if n < 2 and m > 0:
         raise WorkloadError("need at least 2 vertices to place an edge")
     max_m = n * (n - 1) // 2

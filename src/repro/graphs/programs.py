@@ -242,6 +242,7 @@ def simulate_smp_cc(
     config=None,
     tracer=None,
     check=None,
+    hooks=(),
     tier: str = "auto",
     session=None,
     variant: str | None = None,
@@ -269,6 +270,8 @@ def simulate_smp_cc(
     Both named variants attach host-side branch counters to
     ``report.detail["branch"]`` so ``repro.xval`` can compare the
     engine's measured branch cost against the analytic prediction.
+    ``hooks`` are extra :class:`~repro.sim.hooks.HookBus` listeners for
+    the engine.
     """
     from ..core.smp_machine import SUN_E4500
 
@@ -380,7 +383,10 @@ def simulate_smp_cc(
         check.allow_racy(
             a_flag.base, a_flag.end, "graft flag is a monotonic any-write-wins broadcast"
         )
-    eng = SMPEngine(p=p, config=config, tracer=tracer, check=check, tier=tier, session=session)
+    eng = SMPEngine(
+        p=p, config=config, tracer=tracer, check=check, hooks=hooks, tier=tier,
+        session=session,
+    )
     for proc in range(p):
         eng.spawn(program(proc))
     report = eng.run("smp.sv-cc")

@@ -319,6 +319,7 @@ def simulate_smp_list_ranking(
     config=None,
     tracer=None,
     check=None,
+    hooks=(),
     tier: str = "auto",
     session=None,
 ) -> MTAListRankingSim:
@@ -329,7 +330,8 @@ def simulate_smp_list_ranking(
     (the dynamic schedule).  Cache behaviour comes from the engine's
     per-processor hierarchies fed by the algorithm's real addresses.
     Processor 0 emits ``PHASE`` markers so the run decomposes into the
-    algorithm's five steps (``s1.sweep`` … ``s5.combine``).
+    algorithm's five steps (``s1.sweep`` … ``s5.combine``).  ``hooks``
+    are extra :class:`~repro.sim.hooks.HookBus` listeners for the engine.
     """
     from ..core.smp_machine import SUN_E4500
 
@@ -448,7 +450,10 @@ def simulate_smp_list_ranking(
 
     if check is not None:
         check.set_address_space(space)
-    eng = SMPEngine(p=p, config=config, tracer=tracer, check=check, tier=tier, session=session)
+    eng = SMPEngine(
+        p=p, config=config, tracer=tracer, check=check, hooks=hooks, tier=tier,
+        session=session,
+    )
     eng.set_counter(a_ctr.base + 0, 0)
     for proc in range(p):
         eng.spawn(program(proc))

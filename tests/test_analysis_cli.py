@@ -39,6 +39,16 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "error(s)" in out and "race" in out
 
+    def test_zero_cap_still_counts_every_error(self, capsys):
+        # the cap limits what is printed; the status and exit code see all
+        assert main(GOLDEN_ARGV[:-1] + ["0"]) == 1
+        out = capsys.readouterr().out
+        assert "127 error(s)" in out and "ERROR" not in out
+
+    def test_negative_cap_is_usage_error(self, capsys):
+        assert main(GOLDEN_ARGV[:-1] + ["-1"]) == 2
+        assert "--max-findings must be >= 0" in capsys.readouterr().err
+
     def test_workload_plus_all_is_usage_error(self, capsys):
         assert main(["analyze", "--all", "--workload", "cc"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err

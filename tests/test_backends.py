@@ -130,6 +130,38 @@ class TestEveryBackendRuns:
         assert mta.detail["algorithm"] == "mta-walks"
 
 
+class TestEngineHooks:
+    """``execute(handle, hooks=...)`` adds bus listeners to every engine
+    a program builds without changing its result."""
+
+    CASES = [
+        ("smp-engine", Workload("rank", 2, 1, {"n": 96}, {"s": 8})),
+        ("smp-engine", Workload("cc", 2, 1, {"graph": "random", "n": 48, "m": 128})),
+    ] + [
+        (backend, workload)
+        for backend in ("mta-engine", "mta-next-engine")
+        for workload in (
+            Workload("rank", 2, 1, {"n": 128}, {"streams_per_proc": 8, "nodes_per_walk": 4}),
+            Workload("cc", 2, 1, {"graph": "random", "n": 48, "m": 128},
+                     {"streams_per_proc": 8}),
+            Workload("chase", 1, 0, {"chasers": 4}, {"steps": 4, "streams_per_proc": 8}),
+        )
+    ]
+
+    @pytest.mark.parametrize(
+        "backend_name,workload", CASES, ids=[f"{b}-{w.kind}" for b, w in CASES]
+    )
+    def test_hooks_observe_without_changing_the_run(self, backend_name, workload):
+        from repro.obs import ContentionMonitor
+
+        backend = create(backend_name)
+        plain = backend.execute(backend.prepare(workload))
+        monitor = ContentionMonitor()
+        hooked = backend.execute(backend.prepare(workload), hooks=(monitor,))
+        assert hooked.to_dict() == plain.to_dict()
+        assert monitor.runs >= 1
+
+
 class TestAnalyticConfigOverrides:
     def test_flat_override(self):
         b = create("smp-model", config={"name": "E4500-custom"})

@@ -1,8 +1,23 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _run_record(capsys, *argv):
+    """The ``repro run --json`` record for one workload."""
+    assert main(["run", *argv, "--json", "--no-cache"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _run_ms(capsys, *argv):
+    """Simulated milliseconds of one ``repro run``, as the removed
+    commands printed them (three decimals)."""
+    s = _run_record(capsys, *argv)["summary"]
+    return round(s["cycles"] / s["clock_hz"] * 1e3, 3)
 
 
 class TestParser:
@@ -14,14 +29,36 @@ class TestParser:
         parser = build_parser()
         for argv in (
             ["info"],
+            ["backends", "--json"],
+            ["run", "--workload", "rank", "--backend", "smp-model", "--n", "100"],
+            ["trace", "--workload", "cc", "--backend", "smp-engine", "--n", "64"],
+            ["xval"],
+            ["analyze", "--all"],
+            ["lint"],
+            ["sweep", "--spec", "fig1-tiny"],
+            ["serve"],
+            ["submit", "--spec", "fig1-tiny"],
+            ["cache"],
+            ["checkpoint", "ls"],
+        ):
+            args = parser.parse_args(argv)
+            assert args.command == argv[0] and callable(args.func)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["rank", "--n", "100", "--p", "2"],
             ["cc", "--n", "64", "--edge-factor", "3"],
             ["fig1", "--max-n", "4096"],
             ["fig2", "--n", "1024"],
             ["table1", "--nodes-per-proc", "500"],
-        ):
-            args = parser.parse_args(argv)
-            assert args.command == argv[0]
+            ["trace", "rank-mta", "--streams", "8"],
+        ],
+        ids=["rank", "cc", "fig1", "fig2", "table1", "trace-positional"],
+    )
+    def test_removed_commands_do_not_parse(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -31,75 +68,188 @@ class TestParser:
 
 
 class TestCommands:
+    """``repro run`` reproduces every number the removed ``rank``,
+    ``cc``, ``fig2`` and ``table1`` commands printed."""
+
     def test_info(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "Sun-E4500" in out and "Cray-MTA2" in out
 
     def test_rank_both_machines(self, capsys):
-        assert main(["rank", "--n", "4096", "--p", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "SMP Helman-JaJa" in out
-        assert "MTA Alg.1 walks" in out
+        # `repro rank --n 4096 --p 2`: sequential, SMP Helman-JaJa, MTA walks
+        rank = ["--workload", "rank", "--n", "4096"]
+        assert _run_ms(
+            capsys, *rank, "--backend", "smp-model", "--p", "1",
+            "--opt", "algorithm=sequential",
+        ) == 0.160
+        assert _run_ms(capsys, *rank, "--backend", "smp-model", "--p", "2") == 0.466
+        assert _run_ms(capsys, *rank, "--backend", "mta-model", "--p", "2") == 0.127
 
-    def test_rank_single_machine(self, capsys):
-        assert main(["rank", "--n", "2048", "--machine", "mta"]) == 0
-        out = capsys.readouterr().out
-        assert "MTA" in out and "Helman-JaJa" not in out
+    def test_cc_four_machines(self, capsys):
+        # `repro cc --n 1024 --edge-factor 4 --p 2`
+        cc = ["--workload", "cc", "--n", "1024", "--param", "m=4096"]
+        assert _run_ms(
+            capsys, *cc, "--backend", "smp-model", "--p", "1",
+            "--opt", "algorithm=union-find",
+        ) == 0.281
+        assert _run_ms(capsys, *cc, "--backend", "smp-model", "--p", "2") == 0.526
+        assert _run_ms(
+            capsys, *cc, "--backend", "mta-model", "--p", "2", "--opt", "max_iter=600"
+        ) == 0.472
+        assert _run_ms(capsys, *cc, "--backend", "cluster-model", "--p", "2") == 111.405
 
     def test_rank_ordered(self, capsys):
-        assert main(["rank", "--n", "2048", "--list", "ordered"]) == 0
-        assert "ordered list" in capsys.readouterr().out
+        record = _run_record(
+            capsys, "--workload", "rank", "--backend", "smp-model", "--n", "2048",
+            "--param", "list=ordered",
+        )
+        assert record["summary"]["detail"]["list"] == "ordered"
 
-    @pytest.mark.parametrize("graph", ["random", "rmat", "mesh"])
-    def test_cc_graph_families(self, graph, capsys):
-        assert main(["cc", "--n", "1024", "--edge-factor", "4", "--graph", graph]) == 0
-        out = capsys.readouterr().out
-        assert "component" in out
-        assert "Shiloach-Vishkin" in out
-
-    def test_fig1_plots(self, capsys):
-        assert main(["fig1", "--max-n", "8192"]) == 0
-        out = capsys.readouterr().out
-        assert "log-log" in out
-        assert "smp-rand" in out
+    @pytest.mark.parametrize(
+        "graph,params",
+        [("random", ["m=4096"]), ("rmat", ["scale=10", "edge_factor=4"]), ("mesh", ["side=32"])],
+        ids=["random", "rmat", "mesh"],
+    )
+    def test_cc_graph_families(self, graph, params, capsys):
+        argv = ["--workload", "cc", "--backend", "smp-model", "--n", "1024",
+                "--param", f"graph={graph}"]
+        for kv in params:
+            argv += ["--param", kv]
+        detail = _run_record(capsys, *argv)["summary"]["detail"]
+        assert detail["graph"] == graph
+        assert detail["algorithm"] == "sv-smp"
 
     def test_fig2_table(self, capsys):
-        assert main(["fig2", "--n", "4096"]) == 0
-        out = capsys.readouterr().out
-        assert "ratio" in out
+        # first row of `repro fig2 --n 4096`: m=16384, SMP 0.0007 s, MTA 0.0007 s, 1.0x
+        point = ["--workload", "cc", "--n", "4096", "--p", "8", "--seed", "1",
+                 "--param", "m=16384", "--opt", "instrument_p=1"]
+        t_smp = _run_ms(capsys, *point, "--backend", "smp-model") / 1e3
+        t_mta = _run_ms(capsys, *point, "--backend", "mta-model") / 1e3
+        assert f"{t_smp:.4f} {t_mta:.4f} {t_smp / t_mta:.1f}" == "0.0007 0.0007 1.0"
 
     def test_table1(self, capsys):
-        assert main(["table1", "--nodes-per-proc", "500"]) == 0
-        out = capsys.readouterr().out
-        assert "utilization" in out
+        # p=4 row of `repro table1 --nodes-per-proc 500`
+        summary = _run_record(
+            capsys, "--workload", "rank", "--backend", "mta-engine", "--n", "2000",
+            "--p", "4",
+        )["summary"]
+        assert f"{summary['utilization']:.1%}" == "36.7%"
 
     def test_workload_error_exit_code(self, capsys):
         # p = 0 is a configuration error surfaced as exit code 2
-        assert main(["rank", "--n", "16", "--p", "0"]) == 2
+        assert main(
+            ["run", "--workload", "rank", "--backend", "smp-model", "--n", "16",
+             "--p", "0", "--no-cache"]
+        ) == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--workload", "cc", "--param", "graph=rmat"], id="rmat-without-scale"),
+        pytest.param(["--workload", "cc", "--param", "m=abc"], id="param-m"),
+        pytest.param(
+            ["--workload", "cc", "--param", "graph=rmat", "--param", "scale=abc"],
+            id="param-scale",
+        ),
+        pytest.param(
+            ["--workload", "chase", "--backend", "mta-engine", "--param", "chasers=abc"],
+            id="param-chasers",
+        ),
+        pytest.param(
+            ["--workload", "rank", "--backend", "mta-engine", "--opt", "streams_per_proc=abc"],
+            id="opt-streams-mta-engine",
+        ),
+        pytest.param(
+            ["--workload", "chase", "--backend", "mta-engine", "--opt", "steps=abc"],
+            id="opt-steps-chase",
+        ),
+        pytest.param(
+            ["--workload", "cc", "--backend", "smp-engine", "--opt", "max_iter=abc"],
+            id="opt-max-iter-smp-engine",
+        ),
+        pytest.param(["--workload", "rank", "--opt", "s=abc"], id="opt-s-smp-model"),
+        pytest.param(
+            ["--workload", "rank", "--opt", "algorithm=compaction", "--opt", "fanout=abc"],
+            id="opt-fanout-smp-model",
+        ),
+        pytest.param(["--workload", "cc", "--opt", "max_iter=abc"], id="opt-max-iter-smp-model"),
+        pytest.param(["--workload", "cc", "--param", "m=-3"], id="param-m-negative"),
+    ],
+)
+def test_malformed_workload_values_are_config_errors(argv, capsys):
+    """Bad params and options exit 2 with a structured error, not a
+    traceback (the backend defaults to smp-model, the size to n=64)."""
+    if "--backend" not in argv:
+        argv = [*argv, "--backend", "smp-model"]
+    assert main(["run", "--n", "64", "--p", "2", *argv, "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _direct_rank_mta(tracer):
+    from repro.lists import random_list
+    from repro.lists.programs import simulate_mta_list_ranking
+
+    return simulate_mta_list_ranking(
+        random_list(256, 0), p=2, streams_per_proc=8, tracer=tracer
+    )
+
+
+def _direct_cc_smp(tracer):
+    from repro.graphs import random_graph
+    from repro.graphs.programs import simulate_smp_cc
+
+    return simulate_smp_cc(random_graph(128, 512, rng=0), p=2, tracer=tracer)
 
 
 class TestTrace:
     def test_trace_parses(self):
         args = build_parser().parse_args(
-            ["trace", "rank-mta", "--n", "256", "--p", "2", "--level", "op"]
+            ["trace", "--workload", "rank", "--backend", "mta-engine",
+             "--n", "256", "--p", "2", "--level", "op"]
         )
-        assert args.command == "trace" and args.workload == "rank-mta"
+        assert args.command == "trace"
+        assert (args.workload, args.backend) == ("rank", "mta-engine")
 
-    def test_trace_rejects_unknown_workload(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace", "sort"])
+    def test_trace_rejects_unknown_workload(self, capsys):
+        assert main(["trace", "--workload", "sort", "--backend", "mta-engine"]) == 2
+        assert "does not support workload kind 'sort'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workload", ["rank-mta", "rank-smp", "cc-mta", "cc-smp"])
-    def test_trace_chrome_output(self, workload, tmp_path, capsys):
+    def test_trace_rejects_model_backend(self, capsys):
+        assert main(["trace", "--workload", "rank", "--backend", "smp-model"]) == 2
+        assert "not a cycle engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--workload", "rank", "--backend", "mta-engine"], id="rank-mta"),
+            pytest.param(["--workload", "rank", "--backend", "smp-engine"], id="rank-smp"),
+            pytest.param(
+                ["--workload", "cc", "--backend", "mta-engine", "--param", "m=1024"],
+                id="cc-mta",
+            ),
+            pytest.param(
+                ["--workload", "cc", "--backend", "smp-engine", "--param", "m=1024"],
+                id="cc-smp",
+            ),
+            pytest.param(
+                ["--workload", "chase", "--backend", "mta-next-engine",
+                 "--param", "chasers=16"],
+                id="chase-mta-next",
+            ),
+        ],
+    )
+    def test_trace_chrome_output(self, argv, tmp_path, capsys):
         out = tmp_path / "t.json"
         assert (
             main(
                 [
-                    "trace", workload,
+                    "trace", *argv,
                     "--n", "256", "--p", "2",
-                    "--streams", "8",
+                    "--opt", "streams_per_proc=8",
                     "--out", str(out),
                 ]
             )
@@ -107,8 +257,6 @@ class TestTrace:
         )
         text = capsys.readouterr().out
         assert "utilization" in text and "Perfetto" in text
-
-        import json
 
         doc = json.loads(out.read_text())
         events = doc["traceEvents"]
@@ -124,12 +272,46 @@ class TestTrace:
         end = max(e["ts"] + e["dur"] for e in spans)
         assert total_dur == pytest.approx(end)
 
+    @pytest.mark.parametrize(
+        "argv,direct",
+        [
+            pytest.param(
+                ["--workload", "rank", "--backend", "mta-engine", "--n", "256",
+                 "--opt", "streams_per_proc=8"],
+                _direct_rank_mta,
+                id="rank-mta",
+            ),
+            pytest.param(
+                ["--workload", "cc", "--backend", "smp-engine", "--n", "128",
+                 "--param", "m=512"],
+                _direct_cc_smp,
+                id="cc-smp",
+            ),
+        ],
+    )
+    def test_trace_matches_direct_simulation(self, argv, direct, tmp_path, capsys):
+        """The backend path records the same events and profile as the
+        program's ``simulate_*`` entry point with a tracer attached."""
+        from repro.obs import ContentionProfile, Tracer, jsonl_dumps
+
+        out = tmp_path / "t.jsonl"
+        assert main(
+            ["trace", *argv, "--p", "2", "--level", "op", "--format", "jsonl",
+             "--out", str(out)]
+        ) == 0
+        text = capsys.readouterr().out
+        tracer = Tracer("op")
+        sim = direct(tracer)
+        assert out.read_text() == jsonl_dumps(tracer.events)
+        profile = ContentionProfile.from_reports(sim.phase_reports).render()
+        assert text.startswith(f"{sim.summary.table()}\n\n{profile}\n\n")
+
     def test_trace_jsonl_output(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         assert (
             main(
                 [
-                    "trace", "rank-smp",
+                    "trace", "--workload", "rank", "--backend", "smp-engine",
                     "--n", "256", "--p", "2",
                     "--format", "jsonl", "--level", "op",
                     "--out", str(out),
@@ -145,9 +327,12 @@ class TestTrace:
 
     def test_trace_default_output_name(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["trace", "rank-smp", "--n", "128", "--p", "2"]) == 0
+        assert main(
+            ["trace", "--workload", "rank", "--backend", "smp-engine",
+             "--n", "128", "--p", "2"]
+        ) == 0
         capsys.readouterr()
-        assert (tmp_path / "trace-rank-smp.json").exists()
+        assert (tmp_path / "trace-rank-smp-engine.json").exists()
 
 
 class TestBackendsCommand:
@@ -160,8 +345,6 @@ class TestBackendsCommand:
             assert name in out
 
     def test_json_output(self, capsys):
-        import json
-
         assert main(["backends", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert {r["name"] for r in rows} >= {
@@ -190,8 +373,6 @@ class TestRunCommand:
         assert "mta-engine" in capsys.readouterr().out
 
     def test_run_json_record(self, capsys):
-        import json
-
         assert main(
             ["run", "--workload", "cc", "--backend", "mta-model",
              "--n", "128", "--param", "m=512", "--param", "graph=random",
@@ -262,8 +443,6 @@ class TestSweepCommand:
         assert serial == pooled
 
     def test_jsonl_export(self, tmp_path, capsys):
-        import json
-
         out = tmp_path / "rows.jsonl"
         assert main(
             ["sweep", "--spec", "fig1-tiny", "--no-cache", "--jsonl", str(out)]
@@ -300,7 +479,11 @@ class TestFlagValidation:
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(["trace", "rank-mta", "--n", "64", "--out", "{out}"], id="trace-out"),
+        pytest.param(
+            ["trace", "--workload", "rank", "--backend", "mta-engine", "--n", "64",
+             "--out", "{out}"],
+            id="trace-out",
+        ),
         pytest.param(["xval", "--n", "32", "--no-cache", "--jsonl", "{out}"], id="xval-jsonl"),
         pytest.param(
             ["analyze", "--workload", "cc", "--backend", "smp-engine", "--n", "32",

@@ -167,6 +167,17 @@ class TestBasics:
             c.submit({"spec": "no-such-sweep"})
         assert exc.value.code == "bad_request" and exc.value.status == 400
 
+    def test_malformed_workload_param_is_execution_error(self, harness):
+        c = harness().client()
+        body = {
+            "workload": {"kind": "cc", "p": 2, "params": {"n": 64, "graph": "rmat"}},
+            "backend": "smp-model",
+        }
+        final = c.wait(c.submit(body)["id"], timeout=30)
+        assert final["state"] == "failed"
+        assert final["error"]["code"] == "execution_error"
+        assert "'scale'" in final["error"]["message"]
+
     def test_metrics_shape(self, harness):
         c = harness().client()
         c.wait(c.submit(rank_body())["id"], timeout=30)

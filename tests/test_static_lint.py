@@ -281,6 +281,18 @@ class TestCli:
         report = lr(root=str(tmp_path))
         assert [f.check for f in report.findings] == ["engine-direct-construct"]
 
+    def test_cli_module_is_held_to_the_rule(self):
+        # the CLI runs kernels only through repro.backends
+        ctx = ModuleContext.parse(
+            "src/repro/cli.py",
+            "repro.cli",
+            "from repro.core import MTAMachine\n\n\ndef f():\n"
+            "    return MTAMachine(p=1)\n",
+        )
+        report = lint_modules([ctx], default_rules())
+        assert [f.check for f in report.findings] == ["engine-direct-construct"]
+        assert report.findings[0].message.startswith("CLI constructs MTAMachine")
+
     def test_lint_jsonl_stdout(self, capsys):
         assert main(["lint", "--jsonl", "-", "--strict"]) == 0
         out = capsys.readouterr().out
