@@ -6,27 +6,32 @@ ordered-vs-random list-ranking gap in Fig. 1 (right) is entirely a cache
 phenomenon, so the reproduction computes hit/miss behaviour from the
 algorithms' *actual* address streams instead of asserting it.
 
-Two implementations are provided:
+Each cache level keeps exactly one state, which can be advanced one
+access at a time (the SMP cycle engine's loads and stores) or a whole
+address stream at a time (the SMP model's trace mode):
 
+* A direct-mapped level — both E4500 levels — holds one line tag per
+  set.  A single access reads and writes its set's tag; a whole stream
+  runs vectorized (:func:`simulate_direct_mapped` is the cold-start
+  form): an access hits iff the *most recent previous access that
+  mapped to the same set* was to the same line, which one stable
+  argsort answers for every access — O(m log m) NumPy work for a
+  stream of m addresses, no Python loop.
 * :class:`Cache` — a straightforward set-associative LRU cache advanced
-  one access at a time.  Exact, easy to audit, used as the reference
-  implementation in tests and by the SMP cycle engine.
-* :func:`simulate_direct_mapped` — a fully vectorized simulation of a
-  direct-mapped cache over a whole address stream at once.  For a
-  direct-mapped cache, an access hits iff the *most recent previous
-  access that mapped to the same set* was to the same line, which can be
-  computed with one stable argsort — O(m log m) NumPy work for a stream
-  of m addresses, no Python loop.
+  one access at a time.  Exact and easy to audit: the reference the
+  tests check the vectorized simulator against, and the state of an
+  associative level.
+* :class:`CacheHierarchy` — composes L1 and L2: the L2 sees exactly the
+  L1 miss stream, in program order.
 
-* :class:`CacheHierarchy` — composes L1 and L2 (either implementation):
-  the L2 sees exactly the L1 miss stream, in program order.
-
-Addresses everywhere are *word* addresses (64-bit words); ``line_words``
-converts to cache-line granularity.
+Addresses everywhere are non-negative *word* addresses (64-bit words);
+``line_words`` converts to cache-line granularity.
 """
 
 from __future__ import annotations
 
+import copy
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +124,8 @@ class Cache:
     This is the *reference* model: exact LRU replacement, arbitrary
     associativity.  It is deliberately simple (a list of line tags per
     set, most-recently-used last) so its behaviour is obvious; the
-    vectorized path is validated against it in the test suite.
+    direct-mapped tag tables are validated against it in the test
+    suite, and it is the whole state of an associative hierarchy level.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -156,32 +162,29 @@ class Cache:
 
 
 def simulate_direct_mapped(config: CacheConfig, word_addrs: np.ndarray) -> np.ndarray:
-    """Vectorized exact simulation of a direct-mapped cache.
+    """Vectorized exact simulation of a cold direct-mapped cache.
 
-    Parameters
-    ----------
-    config:
-        Cache geometry; ``associativity`` must be 1.
-    word_addrs:
-        int64 array of word addresses in program order.  The cache is
-        assumed cold at the start of the stream.
-
-    Returns
-    -------
-    numpy.ndarray
-        Boolean hit mask aligned with ``word_addrs``.
-
-    Notes
-    -----
-    In a direct-mapped cache each set holds exactly one line, so access
-    *i* hits iff the latest earlier access to the same set used the same
-    line.  Stable-sorting access indices by set groups each set's
-    accesses in program order; comparing each access's line with its
-    predecessor within the group answers the hit question for every
-    access simultaneously.
+    ``config`` must have ``associativity`` 1; ``word_addrs`` are word
+    addresses in program order.  Returns the boolean hit mask aligned
+    with ``word_addrs``.
     """
     if config.associativity != 1:
         raise ConfigurationError("simulate_direct_mapped requires associativity 1")
+    return _advance_direct_mapped(config, np.full(config.n_sets, -1, dtype=np.int64), word_addrs)
+
+
+def _advance_direct_mapped(
+    config: CacheConfig, table: np.ndarray, word_addrs: np.ndarray
+) -> np.ndarray:
+    """Run a stream through a direct-mapped tag table; return its hit mask.
+
+    ``table[s]`` is the line set ``s`` holds (−1 when empty).  Access *i*
+    hits iff the latest earlier access to its set — or, for the set's
+    first access, the table — holds the same line.  One stable sort by
+    set groups each set's accesses in program order, which answers that
+    for every access at once; each group's last line becomes the set's
+    new tag, written back into ``table`` in place.
+    """
     addrs = np.asarray(word_addrs, dtype=np.int64)
     m = len(addrs)
     if m == 0:
@@ -191,145 +194,136 @@ def simulate_direct_mapped(config: CacheConfig, word_addrs: np.ndarray) -> np.nd
     order = np.argsort(sets, kind="stable")
     sorted_sets = sets[order]
     sorted_lines = lines[order]
-    same_set = np.empty(m, dtype=bool)
-    same_set[0] = False
-    same_set[1:] = sorted_sets[1:] == sorted_sets[:-1]
-    same_line = np.empty(m, dtype=bool)
-    same_line[0] = False
-    same_line[1:] = sorted_lines[1:] == sorted_lines[:-1]
-    hit_sorted = same_set & same_line
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    first[1:] = sorted_sets[1:] != sorted_sets[:-1]
+    prev = np.empty(m, dtype=np.int64)
+    prev[1:] = sorted_lines[:-1]
+    prev[first] = table[sorted_sets[first]]
+    last = np.empty(m, dtype=bool)
+    last[:-1] = first[1:]
+    last[-1] = True
+    table[sorted_sets[last]] = sorted_lines[last]
     hits = np.empty(m, dtype=bool)
-    hits[order] = hit_sorted
+    hits[order] = prev == sorted_lines
     return hits
 
 
-def _simulate_direct_mapped_warm(
-    config: CacheConfig, resident: np.ndarray, word_addrs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized direct-mapped simulation starting from a warm state.
+class _DirectMapped:
+    """One direct-mapped level: its whole state is a line tag per set.
 
-    ``resident[s]`` is the line currently held by set ``s`` (−1 when
-    empty).  The warm start is expressed by *priming*: one synthetic
-    access per occupied set precedes the real stream, then the cold
-    simulator runs and the priming results are discarded.  Returns the
-    hit mask for the real stream and the updated resident array (the
-    last line each set saw, recovered from the same stable sort).
+    Mirrors :class:`Cache` (``config``, ``stats``, ``_sets``, ``access``,
+    ``access_stream``), so a hierarchy drives either kind of level the
+    same way.  Streams run over a zero-copy NumPy view of ``_sets``.
     """
-    addrs = np.asarray(word_addrs, dtype=np.int64)
-    occupied = np.flatnonzero(resident >= 0)
-    prime = resident[occupied] << config.line_shift
-    stream = np.concatenate([prime, addrs])
-    hits = simulate_direct_mapped(config, stream)[len(prime):]
 
-    lines = stream >> config.line_shift
-    sets = lines % config.n_sets
-    order = np.argsort(sets, kind="stable")
-    new_resident = resident.copy()
-    if len(stream):
-        sorted_sets = sets[order]
-        last = np.ones(len(stream), dtype=bool)
-        last[:-1] = sorted_sets[:-1] != sorted_sets[1:]
-        new_resident[sorted_sets[last]] = lines[order][last]
-    return hits, new_resident
+    def __init__(self, config: CacheConfig) -> None:
+        self.config = config
+        self.stats = CacheStats()
+        self._sets = array("q", [-1]) * config.n_sets  # −1: empty set
+        self._shift = config.line_shift
+        self._mask = config.n_sets - 1
+
+    def access(self, word_addr: int) -> bool:
+        """Access one word; return ``True`` on hit.  Misses allocate."""
+        line = word_addr >> self._shift
+        idx = line & self._mask
+        stats = self.stats
+        stats.accesses += 1
+        if self._sets[idx] == line:
+            stats.hits += 1
+            return True
+        self._sets[idx] = line
+        return False
+
+    def access_stream(self, word_addrs: np.ndarray) -> np.ndarray:
+        """Access a whole stream; return a boolean hit mask in program order."""
+        table = np.frombuffer(self._sets, dtype=np.int64)
+        hits = _advance_direct_mapped(self.config, table, word_addrs)
+        self.stats += CacheStats(len(hits), int(hits.sum()))
+        return hits
+
+
+def _make_level(config: CacheConfig):
+    return _DirectMapped(config) if config.associativity == 1 else Cache(config)
+
+
+def _pack_level(level) -> tuple:
+    """One level as plain data: geometry, statistics and set contents."""
+    c, s = level.config, level.stats
+    geometry = (c.size_words, c.line_words, c.associativity)
+    return geometry, (s.accesses, s.hits), copy.deepcopy(level._sets)
+
+
+def _unpack_level(packed: tuple):
+    geometry, stats, sets = packed
+    level = _make_level(CacheConfig(*geometry))
+    level.stats = CacheStats(*stats)
+    level._sets = copy.deepcopy(sets)
+    return level
 
 
 class CacheHierarchy:
-    """An L1 + L2 hierarchy fed by word-address streams.
+    """An L1 + L2 hierarchy fed by word addresses.
 
     The L2 observes exactly the stream of L1 misses, in program order —
-    the inclusion policy the E4500 used.  Both levels may be simulated
-    vectorized when direct-mapped, falling back to the reference
-    :class:`Cache` otherwise.
-
-    The hierarchy is *stateful*: successive :meth:`simulate_stream`
-    calls (and :meth:`access` calls) see the lines earlier calls left
-    behind, so a multi-step algorithm's later steps benefit from the
-    data its earlier steps touched, as on the real machine.  Use a
-    fresh instance (or :meth:`flush`) for cold-start measurements.
+    the inclusion policy the E4500 used.  Each level has one state (see
+    the module docstring), which :meth:`access` (the SMP cycle engine's
+    loads and stores) and :meth:`simulate_stream` (the SMP model's trace
+    mode) both advance: each call sees the lines earlier calls left, so
+    a multi-step algorithm's later steps benefit from the data its
+    earlier steps touched, as on the real machine.
     """
 
     def __init__(self, l1: CacheConfig, l2: CacheConfig) -> None:
         self.l1 = l1
         self.l2 = l2
-        self.l1_stats = CacheStats()
-        self.l2_stats = CacheStats()
-        # persistent reference caches for incremental (non-vectorized) use
-        self._l1_cache = Cache(l1)
-        self._l2_cache = Cache(l2)
-        # persistent state for the vectorized direct-mapped path
-        self._l1_resident = np.full(l1.n_sets, -1, dtype=np.int64)
-        self._l2_resident = np.full(l2.n_sets, -1, dtype=np.int64)
+        self._l1 = _make_level(l1)
+        self._l2 = _make_level(l2)
 
-    # -- vectorized path (warm, stateful) -------------------------------------
+    @property
+    def l1_stats(self) -> CacheStats:
+        """L1 statistics accumulated over every access and stream."""
+        return self._l1.stats
+
+    @property
+    def l2_stats(self) -> CacheStats:
+        """L2 statistics accumulated over every access and stream."""
+        return self._l2.stats
 
     def simulate_stream(self, word_addrs: np.ndarray) -> tuple[CacheStats, CacheStats]:
         """Run ``word_addrs`` through both levels, starting from current state.
 
-        Returns per-level :class:`CacheStats` for *this stream only* and
-        also accumulates them onto :attr:`l1_stats` / :attr:`l2_stats`.
+        Returns per-level :class:`CacheStats` for *this stream only*; the
+        same counts also accumulate onto :attr:`l1_stats` / :attr:`l2_stats`.
         """
         addrs = np.asarray(word_addrs, dtype=np.int64)
-        if self.l1.associativity == 1:
-            l1_hits, self._l1_resident = _simulate_direct_mapped_warm(
-                self.l1, self._l1_resident, addrs
-            )
-        else:
-            l1_hits = self._l1_cache.access_stream(addrs)
-        l1_miss_stream = addrs[~l1_hits]
-        if self.l2.associativity == 1:
-            l2_hits, self._l2_resident = _simulate_direct_mapped_warm(
-                self.l2, self._l2_resident, l1_miss_stream
-            )
-        else:
-            l2_hits = self._l2_cache.access_stream(l1_miss_stream)
-        s1 = CacheStats(accesses=len(addrs), hits=int(l1_hits.sum()))
-        s2 = CacheStats(accesses=len(l1_miss_stream), hits=int(l2_hits.sum()))
-        self.l1_stats += s1
-        self.l2_stats += s2
-        return s1, s2
-
-    # -- incremental path (used by the SMP cycle engine) ---------------------
+        l1_hits = self._l1.access_stream(addrs)
+        l2_hits = self._l2.access_stream(addrs[~l1_hits])
+        return (
+            CacheStats(accesses=len(l1_hits), hits=int(l1_hits.sum())),
+            CacheStats(accesses=len(l2_hits), hits=int(l2_hits.sum())),
+        )
 
     def access(self, word_addr: int) -> str:
-        """Access one word through the persistent caches.
-
-        Returns the level that served it: ``"l1"``, ``"l2"`` or ``"mem"``.
-        """
-        if self._l1_cache.access(word_addr):
-            self.l1_stats += CacheStats(1, 1)
+        """Access one word; return the level that served it:
+        ``"l1"``, ``"l2"`` or ``"mem"``."""
+        if self._l1.access(word_addr):
             return "l1"
-        self.l1_stats += CacheStats(1, 0)
-        if self._l2_cache.access(word_addr):
-            self.l2_stats += CacheStats(1, 1)
+        if self._l2.access(word_addr):
             return "l2"
-        self.l2_stats += CacheStats(1, 0)
         return "mem"
-
-    def flush(self) -> None:
-        """Invalidate both levels (cold caches; statistics preserved)."""
-        self._l1_cache.flush()
-        self._l2_cache.flush()
-        self._l1_resident.fill(-1)
-        self._l2_resident.fill(-1)
 
     # -- serializable-state contract (checkpoint/restore) ---------------------
 
-    STATE_VERSION = 1
+    STATE_VERSION = 2
 
     def to_state(self) -> dict:
-        """Full warm state of both levels, picklable and geometry-tagged."""
+        """Full warm state, one picklable entry per level."""
         return {
             "version": CacheHierarchy.STATE_VERSION,
-            "l1": (self.l1.size_words, self.l1.line_words, self.l1.associativity),
-            "l2": (self.l2.size_words, self.l2.line_words, self.l2.associativity),
-            "l1_stats": (self.l1_stats.accesses, self.l1_stats.hits),
-            "l2_stats": (self.l2_stats.accesses, self.l2_stats.hits),
-            "l1_sets": [list(ways) for ways in self._l1_cache._sets],
-            "l2_sets": [list(ways) for ways in self._l2_cache._sets],
-            "l1_cache_stats": (self._l1_cache.stats.accesses, self._l1_cache.stats.hits),
-            "l2_cache_stats": (self._l2_cache.stats.accesses, self._l2_cache.stats.hits),
-            "l1_resident": self._l1_resident.copy(),
-            "l2_resident": self._l2_resident.copy(),
+            "l1": _pack_level(self._l1),
+            "l2": _pack_level(self._l2),
         }
 
     @classmethod
@@ -341,15 +335,9 @@ class CacheHierarchy:
             raise CheckpointError(
                 f"cache state version {state.get('version')!r} != {cls.STATE_VERSION}"
             )
-        h = cls(CacheConfig(*state["l1"]), CacheConfig(*state["l2"]))
-        h.l1_stats = CacheStats(*state["l1_stats"])
-        h.l2_stats = CacheStats(*state["l2_stats"])
-        h._l1_cache._sets = [list(ways) for ways in state["l1_sets"]]
-        h._l2_cache._sets = [list(ways) for ways in state["l2_sets"]]
-        h._l1_cache.stats = CacheStats(*state["l1_cache_stats"])
-        h._l2_cache.stats = CacheStats(*state["l2_cache_stats"])
-        h._l1_resident = np.asarray(state["l1_resident"], dtype=np.int64).copy()
-        h._l2_resident = np.asarray(state["l2_resident"], dtype=np.int64).copy()
+        l1, l2 = _unpack_level(state["l1"]), _unpack_level(state["l2"])
+        h = cls(l1.config, l2.config)
+        h._l1, h._l2 = l1, l2
         return h
 
 

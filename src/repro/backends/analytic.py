@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..errors import ConfigurationError
-from .base import Backend, RunHandle
+from .base import Backend, RunHandle, override_config
 from .kernels import extras_from_run, instrument
 
 __all__ = ["AnalyticBackend", "make_smp_model", "make_mta_model", "make_cluster_model"]
@@ -48,24 +47,9 @@ class AnalyticBackend(Backend):
         self.description = description
         self._machine_factory = machine_factory
         self._defaults = dict(defaults)
-        if config_overrides:
-            overrides = {}
-            for key, value in config_overrides.items():
-                current = getattr(config, key, None)
-                if isinstance(value, dict) and dataclasses.is_dataclass(current):
-                    try:
-                        value = dataclasses.replace(current, **value)
-                    except TypeError as exc:
-                        raise ConfigurationError(
-                            f"bad config override {key!r} for backend {name!r}: {exc}"
-                        ) from None
-                overrides[key] = value
-            try:
-                config = dataclasses.replace(config, **overrides)
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"bad config override for backend {name!r}: {exc}"
-                ) from None
+        config = override_config(
+            config, config_overrides, f"config override for backend {name!r}"
+        )
         if config_name:
             config = dataclasses.replace(config, name=config_name)
         self.config = config

@@ -28,6 +28,7 @@ name-based registry is :mod:`repro.backends.registry`.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -35,7 +36,9 @@ from typing import Any, Mapping
 
 from ..errors import ConfigurationError
 
-__all__ = ["Workload", "RunHandle", "Backend", "canonical_json", "int_value"]
+__all__ = [
+    "Workload", "RunHandle", "Backend", "canonical_json", "int_value", "override_config",
+]
 
 
 def _jsonable(value):
@@ -82,6 +85,31 @@ def int_value(mapping: Mapping[str, Any], key: str, default: Any = _REQUIRED):
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"{key}={value!r} is not an integer") from None
+
+
+def override_config(config, overrides, what: str):
+    """``config`` with ``overrides`` applied by ``dataclasses.replace``.
+
+    A dict value aimed at a dataclass-typed field updates that nested
+    config and keeps its other fields, e.g. ``{"l2": {"size_words":
+    1 << 18}}`` resizes an SMP config's L2.  An unknown field raises
+    :class:`~repro.errors.ConfigurationError` naming ``what``; so does
+    any value the config's own validation rejects.
+    """
+    if not overrides:
+        return config
+    if not isinstance(overrides, Mapping):
+        raise ConfigurationError(f"bad {what}: expected a mapping, got {overrides!r}")
+    merged = {}
+    for key, value in overrides.items():
+        current = getattr(config, key, None)
+        if isinstance(value, Mapping) and dataclasses.is_dataclass(current):
+            value = override_config(current, value, f"{what}, field {key!r}")
+        merged[key] = value
+    try:
+        return dataclasses.replace(config, **merged)
+    except TypeError as exc:
+        raise ConfigurationError(f"bad {what}: {exc}") from None
 
 
 @dataclass(frozen=True)

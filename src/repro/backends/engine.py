@@ -43,18 +43,18 @@ Workload options consumed here (all optional):
     its ``checkpoint=`` argument; see ``docs/SIMULATION.md``.
 
 Backend options: ``config`` — dict of :class:`~repro.core.smp_machine.SMPConfig`
-field overrides for the SMP engine; ``collect_phases`` is implicit
-(programs emit PHASE markers).
+field overrides for the SMP engine, nested ones included, merged as for
+the analytic models (:func:`~repro.backends.base.override_config`);
+``collect_phases`` is implicit (programs emit PHASE markers).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from collections.abc import Mapping
 
 from ..errors import ConfigurationError
-from .base import Backend, RunHandle, int_value
+from .base import Backend, RunHandle, int_value, override_config
 from .registry import create, register
 
 __all__ = ["SMPEngineBackend", "MTAEngineBackend", "create_engine", "register_machine"]
@@ -71,13 +71,7 @@ class SMPEngineBackend(Backend):
     def __init__(self, *, config=None):
         from ..core.smp_machine import SUN_E4500
 
-        cfg = SUN_E4500
-        if config:
-            try:
-                cfg = dataclasses.replace(cfg, **config)
-            except TypeError as exc:
-                raise ConfigurationError(f"bad SMP engine config: {exc}") from None
-        self.config = cfg
+        self.config = override_config(SUN_E4500, config, "SMP engine config")
 
     def execute(self, handle: RunHandle, check=None, hooks=()):
         """Run the prepared workload; ``hooks`` are extra

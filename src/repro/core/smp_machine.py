@@ -41,7 +41,8 @@ The model charges each algorithm step per processor:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -102,12 +103,29 @@ class SMPConfig:
     mispredict_penalty_cycles: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_p < 1:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("l1", "l2"):
+                if not isinstance(value, CacheConfig):
+                    raise ConfigurationError(f"{f.name} must be a CacheConfig, got {value!r}")
+            elif f.name != "name" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+        # written as "not (ok)" so NaN fails every check
+        if not self.max_p >= 1:
             raise ConfigurationError("max_p must be >= 1")
-        if self.clock_hz <= 0:
-            raise ConfigurationError("clock_hz must be positive")
-        if self.bus_words_per_cycle <= 0:
-            raise ConfigurationError("bus_words_per_cycle must be positive")
+        for name in ("clock_hz", "bus_words_per_cycle", "stream_overlap", "store_buffer_depth"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive")
+        for name in (
+            "l1_hit_cycles", "l2_hit_cycles", "mem_cycles", "cpi",
+            "barrier_base_cycles", "barrier_per_log_p_cycles", "mispredict_penalty_cycles",
+        ):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(f"{name} must be >= 0")
+        if not 0 < self.l2_effective_fraction <= 1:
+            raise ConfigurationError("l2_effective_fraction must be in (0, 1]")
 
     def barrier_cycles(self, p: int) -> float:
         """Cycles one barrier costs with ``p`` participants."""

@@ -161,7 +161,8 @@ class SMPMachine(MachineModel):
 
     # -- serializable-state contract ------------------------------------------
 
-    state_version = 1
+    #: 2: each thread's packed cache hierarchy holds one entry per level.
+    state_version = 2
 
     def config_state(self) -> dict:
         import dataclasses

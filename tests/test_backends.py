@@ -198,6 +198,57 @@ class TestAnalyticConfigOverrides:
         assert dataclasses.is_dataclass(a.config)
 
 
+class TestSMPConfigOverrides:
+    """Both SMP backends take the same config overrides, nested or flat,
+    and reject malformed values as configuration errors."""
+
+    def test_engine_nested_override_matches_direct_config(self):
+        from repro.arch.cache import CacheConfig
+        from repro.core.smp_machine import SUN_E4500
+        from repro.graphs.programs import simulate_smp_cc
+
+        w = Workload("cc", 2, 3, {"graph": "random", "n": 256, "m": 1024})
+        backend = create("smp-engine", config={"l1": {"size_words": 256}})
+        handle = backend.prepare(w)
+        got = backend.execute(handle).to_dict()
+        l1 = CacheConfig(size_words=256, line_words=SUN_E4500.l1.line_words)
+        sim = simulate_smp_cc(handle.data, p=2, config=dataclasses.replace(SUN_E4500, l1=l1))
+        want = sim.summary.to_dict()
+        assert {k: v for k, v in got.items() if k != "detail"} == {
+            k: v for k, v in want.items() if k != "detail"
+        }
+        assert {k: got["detail"][k] for k in want["detail"]} == want["detail"]
+        default = create("smp-engine").execute(handle)
+        assert default.cycles != got["cycles"]  # the override took effect
+
+    @pytest.mark.parametrize("backend", ["smp-model", "smp-engine"])
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"stream_overlap": 0},
+            {"store_buffer_depth": 0},
+            {"cpi": "x"},
+            {"cpi": True},
+            {"l2_hit_cycles": "abc"},
+            {"mem_cycles": -120},
+            {"mispredict_penalty_cycles": -1},
+            {"l2_effective_fraction": 0},
+            {"l2_effective_fraction": 1.5},
+            {"l1": 5},
+            {"l2": {"size_words": 100}},
+            {"l2": {"no_such_field": 1}},
+        ],
+        ids=canonical_json,
+    )
+    def test_malformed_value_is_configuration_error(self, backend, override):
+        from repro.core.runner import Job, run_jobs
+
+        job = Job(Workload("rank", 2, 0, {"n": 256}), backend,
+                  backend_options={"config": override})
+        with pytest.raises(ConfigurationError):
+            run_jobs([job], workers=1, cache=False)
+
+
 class TestEngineOptionErrors:
     """Bad engine options fail as structured configuration errors."""
 

@@ -1,5 +1,7 @@
 """Tests for the cache simulators (repro.arch.cache)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,7 +150,8 @@ class TestHierarchy:
         h = CacheHierarchy(L1, L2)
         assert h.access(0) == "mem"
         assert h.access(1) == "l1"
-        h._l1_cache.flush()
+        # same L1 set as line 0 but another L2 set: evicts line 0 from L1 only
+        assert h.access(L1.size_words) == "mem"
         assert h.access(0) == "l2"
 
     def test_accumulates_across_streams(self, rng):
@@ -156,3 +159,58 @@ class TestHierarchy:
         h.simulate_stream(rng.integers(0, 512, 100).astype(np.int64))
         h.simulate_stream(rng.integers(0, 512, 100).astype(np.int64))
         assert h.l1_stats.accesses == 200
+
+
+E4500_L1 = CacheConfig(size_words=4096, line_words=8)
+E4500_L2 = CacheConfig(size_words=1 << 20, line_words=16)
+TWO_WAY_L1 = CacheConfig(size_words=4096, line_words=8, associativity=2)
+
+#: Addresses that hit, conflict in L1 only, and conflict in L2 too: a few
+#: lines, offset by multiples of each level's capacity.
+_CONFLICTING_ADDRS = st.builds(
+    lambda i, j, off: i * E4500_L1.size_words + j * E4500_L2.size_words + off,
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(0, 2 * E4500_L2.line_words - 1),
+)
+
+
+class TestOneStatePerLevel:
+    """``access()`` and ``simulate_stream()`` advance the same lines."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(_CONFLICTING_ADDRS, max_size=40), min_size=2, max_size=8),
+        st.sampled_from([E4500_L1, TWO_WAY_L1]),
+    )
+    def test_interleaved_styles_match_reference(self, chunks, l1):
+        h = CacheHierarchy(l1, E4500_L2)
+        ref1, ref2 = Cache(l1), Cache(E4500_L2)
+        for k, chunk in enumerate(chunks):
+            expected = [
+                "l1" if ref1.access(a) else "l2" if ref2.access(a) else "mem"
+                for a in chunk
+            ]
+            if k % 2 == 0:
+                assert [h.access(a) for a in chunk] == expected
+            else:
+                s1, s2 = h.simulate_stream(np.array(chunk, dtype=np.int64))
+                l1_hits, l2_hits = expected.count("l1"), expected.count("l2")
+                assert s1 == CacheStats(len(chunk), l1_hits)
+                assert s2 == CacheStats(len(chunk) - l1_hits, l2_hits)
+            assert h.l1_stats == ref1.stats and h.l2_stats == ref2.stats
+
+    @pytest.mark.parametrize("l1", [E4500_L1, TWO_WAY_L1])
+    def test_state_round_trip_continues_identically(self, l1, rng):
+        addrs = rng.integers(0, 3 * E4500_L2.size_words, 3000).astype(np.int64)
+        h = CacheHierarchy(l1, E4500_L2)
+        h.simulate_stream(addrs[:1000])
+        for a in addrs[1000:1500]:
+            h.access(int(a))
+        restored = CacheHierarchy.from_state(pickle.loads(pickle.dumps(h.to_state())))
+        assert restored.to_state() == h.to_state()
+        for a in addrs[1500:2000]:
+            assert restored.access(int(a)) == h.access(int(a))
+        tail = addrs[2000:]
+        assert restored.simulate_stream(tail) == h.simulate_stream(tail)
+        assert restored.l1_stats == h.l1_stats and restored.l2_stats == h.l2_stats

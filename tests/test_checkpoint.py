@@ -552,6 +552,33 @@ def test_kernel_rejects_wrong_machine_and_setup(tmp_path):
         variant.resume(state)
 
 
+def test_smp_resume_rejects_old_machine_state_version_before_replay():
+    """An SMP snapshot from before the one-entry-per-level cache state
+    (machine state version 1) is refused before any generator advances."""
+    eng0, _ = build_smp(record=True)
+    state = _pause_state(eng0, 20)
+    assert state is not None and state["machine_state_version"] == 2
+
+    stale_eng, stale_arr = build_smp()
+    with pytest.raises(CheckpointError, match="machine-state version 1"):
+        stale_eng.resume(dict(state, machine_state_version=1))
+    assert not stale_arr.any()  # the generators' side effects never ran
+
+    # the untampered snapshot does replay them
+    eng, arr = build_smp()
+    eng.resume(state)
+    assert arr.any()
+
+
+def test_cache_hierarchy_rejects_version_1_state():
+    from repro.arch.cache import CacheHierarchy
+    from repro.core.smp_machine import SUN_E4500
+
+    state = CacheHierarchy(SUN_E4500.l1, SUN_E4500.l2).to_state()
+    with pytest.raises(CheckpointError, match="cache state version 1"):
+        CacheHierarchy.from_state(dict(state, version=1))
+
+
 # ---------------------------------------------------------------------------
 # store mechanics
 # ---------------------------------------------------------------------------

@@ -178,6 +178,14 @@ class TestBasics:
         assert final["error"]["code"] == "execution_error"
         assert "'scale'" in final["error"]["message"]
 
+    def test_malformed_machine_config_is_execution_error(self, harness):
+        c = harness().client()
+        body = rank_body(backend_options={"config": {"stream_overlap": 0}})
+        final = c.wait(c.submit(body)["id"], timeout=30)
+        assert final["state"] == "failed"
+        assert final["error"]["code"] == "execution_error"
+        assert "stream_overlap" in final["error"]["message"]
+
     def test_metrics_shape(self, harness):
         c = harness().client()
         c.wait(c.submit(rank_body())["id"], timeout=30)
