@@ -20,8 +20,6 @@ Both halves are one job list (:func:`repro.workloads.table1_jobs`)
 executed through the backend registry — ``mta-engine`` for the measured
 rows, ``mta-model`` for the analytic ones — so the table's utilization
 numbers are the runner's :class:`repro.obs.RunSummary` numbers.
-``test_table1_summary_matches_report`` separately asserts the summary
-reproduces the engine report's utilization bit for bit.
 
 Output: ``benchmarks/results/table1_utilization.txt``.
 """
@@ -32,10 +30,6 @@ import pytest
 
 from repro.core import Job, ResultTable, run_jobs
 from repro.backends import Workload
-from repro.graphs.generate import random_graph
-from repro.graphs.programs import simulate_mta_cc
-from repro.lists.generate import random_list
-from repro.lists.programs import simulate_mta_list_ranking
 from repro.workloads import TABLE1_SPEC, table1_jobs
 
 from .conftest import once
@@ -80,24 +74,6 @@ def test_table1_regenerate(table1, write_result, benchmark):
 
     path = write_result("table1_utilization", once(benchmark, render))
     assert path.exists()
-
-
-def test_table1_summary_matches_report(benchmark):
-    """RunSummary reproduces the engine report's utilization exactly
-    (within 1e-9) — the table's numbers are the trace's numbers."""
-
-    def deltas():
-        out = []
-        nxt = random_list(4000, 3)
-        sim = simulate_mta_list_ranking(nxt, p=2, streams_per_proc=50)  # allow_direct_engine: compares summary against the raw report
-        out.append(abs(sim.summary.utilization - sim.report.utilization))
-        g = random_graph(1500, 6000, rng=3)
-        sim = simulate_mta_cc(g, p=2, streams_per_proc=50)  # allow_direct_engine: compares summary against the raw report
-        out.append(abs(sim.summary.utilization - sim.report.utilization))
-        return out
-
-    for delta in once(benchmark, deltas):
-        assert delta <= 1e-9
 
 
 def test_table1_engine_utilization_positive_and_sane(table1, benchmark):

@@ -15,7 +15,7 @@ from .base import Backend, RunHandle, Workload, canonical_json
 from .engine import register_machine
 from .inputs import clear_memo, input_for
 from .kernels import algorithms_for
-from .registry import backend, create, describe, names, register
+from .registry import create, describe, names, register
 
 __all__ = [
     "Backend",
@@ -27,7 +27,6 @@ __all__ = [
     "algorithms_for",
     "register",
     "register_machine",
-    "backend",
     "create",
     "names",
     "describe",

@@ -11,13 +11,14 @@ and ``docs/BACKENDS.md``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ConfigurationError
 from .base import Backend
 
-__all__ = ["register", "create", "names", "describe", "backend"]
+__all__ = ["register", "create", "names", "describe"]
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,13 @@ def register(
     )
 
 
-def backend(name: str, **meta):
-    """Decorator form of :func:`register` for factory functions."""
-
-    def deco(factory):
-        register(name, factory, **meta)
-        return factory
-
-    return deco
-
-
 def create(name: str, **options) -> Backend:
-    """Instantiate the backend registered under ``name``."""
+    """Instantiate the backend registered under ``name``.
+
+    Options the factory does not take raise
+    :class:`~repro.errors.ConfigurationError` naming the backend and the
+    options (a ``TypeError`` raised inside the factory body propagates).
+    """
     try:
         entry = _REGISTRY[name]
     except KeyError:
@@ -116,8 +112,13 @@ def create(name: str, **options) -> Backend:
         raise ConfigurationError(
             f"unknown backend {name!r}; registered backends: {known}"
         ) from None
-    b = entry.factory(**options)
-    return b
+    try:
+        inspect.signature(entry.factory).bind(**options)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"bad options {sorted(options)} for backend {name!r}: {exc}"
+        ) from None
+    return entry.factory(**options)
 
 
 def names() -> list[str]:

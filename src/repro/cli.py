@@ -533,18 +533,14 @@ def _cmd_info(args) -> int:
 
 def _cmd_trace(args) -> int:
     from .backends.engine import create_engine
-    from .obs import ContentionMonitor, Tracer, write_chrome_trace, write_jsonl
+    from .obs import ContentionProfile, Tracer, write_chrome_trace, write_jsonl
     from .sim.hooks import TracerHook
 
     _check_out_dir("--out", args.out)
     workload = _workload(args)
     backend = create_engine(args.backend)
     tracer = Tracer(level=args.level)
-    # one monitor sees every engine run of a multi-phase program
-    monitor = ContentionMonitor()
-    summary = backend.execute(
-        backend.prepare(workload), hooks=(TracerHook(tracer), monitor)
-    )
+    summary = backend.execute(backend.prepare(workload), hooks=(TracerHook(tracer),))
     summary.validate()  # phase cycles must partition the run exactly
 
     out = args.out
@@ -559,7 +555,7 @@ def _cmd_trace(args) -> int:
 
     print(summary.table())
     print()
-    print(monitor.profile.render())
+    print(ContentionProfile.from_report(summary).render())
     print()
     print(f"{len(tracer.events)} event(s) -> {out}")
     if args.fmt == "chrome":
@@ -821,7 +817,7 @@ def _cmd_run(args) -> int:
         [job], workers=1, cache=_make_cache(args), checkpoint=_checkpoint_spec(args)
     )
     if args.json:
-        print(result.jsonl(), end="")
+        print(result.jsonl())
         return 0
     s = result.summary
     tag = "cached" if result.cached else "fresh"

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from .cost import StepCost
-from .machine import MachineModel, StepTime
+from .machine import MachineModel, StepTime, validate_config
 
 __all__ = ["ClusterConfig", "BEOWULF_2005", "ClusterMachine"]
 
@@ -72,10 +72,15 @@ class ClusterConfig:
     barrier_us: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.batching < 1:
-            raise ConfigurationError("batching must be >= 1")
-        if self.clock_hz <= 0 or self.bandwidth_mb_s <= 0:
-            raise ConfigurationError("clock and bandwidth must be positive")
+        validate_config(
+            self,
+            at_least_one=("max_p", "batching"),
+            positive=("clock_hz", "bandwidth_mb_s"),
+            non_negative=(
+                "local_contig_cycles", "local_noncontig_cycles", "cpi", "sw_overhead_us",
+                "rtt_us", "marshalling_cycles", "barrier_us",
+            ),
+        )
 
     @property
     def remote_access_cycles(self) -> float:

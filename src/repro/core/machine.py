@@ -18,9 +18,11 @@ plots them.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
+from ..errors import ConfigurationError
 from .cost import StepCost
 
 __all__ = ["StepTime", "PhasePrediction", "MachineResult", "MachineModel"]
@@ -178,8 +180,6 @@ class MachineResult:
         if not matches:
             raise KeyError(f"no step named {name!r} in result for {self.machine}")
         if len(matches) > 1:
-            from ..errors import ConfigurationError
-
             raise ConfigurationError(
                 f"step name {name!r} is ambiguous in result for {self.machine}:"
                 f" {len(matches)} steps share it"
@@ -232,6 +232,43 @@ class MachineResult:
         )
 
 
+def validate_config(
+    config, *, at_least_one=(), positive=(), non_negative=(), nested=None
+) -> None:
+    """Check a machine config dataclass's field values (call it from the
+    config's ``__post_init__``).
+
+    Every field but ``name`` must hold a real number (a bool is not one),
+    except the fields ``nested`` maps to the dataclass their value must
+    be an instance of.  Then the fields named in ``at_least_one`` must be
+    ``>= 1``, those in ``positive`` ``> 0`` and those in ``non_negative``
+    ``>= 0``.  The first bad field raises
+    :class:`~repro.errors.ConfigurationError` naming it.
+    """
+    nested = nested or {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name in nested:
+            if not isinstance(value, nested[f.name]):
+                raise ConfigurationError(
+                    f"{f.name} must be a {nested[f.name].__name__}, got {value!r}"
+                )
+        elif f.name != "name" and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
+        ):
+            raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+    # written as "not (ok)" so NaN fails every check
+    for name in at_least_one:
+        if not getattr(config, name) >= 1:
+            raise ConfigurationError(f"{name} must be >= 1")
+    for name in positive:
+        if not getattr(config, name) > 0:
+            raise ConfigurationError(f"{name} must be positive")
+    for name in non_negative:
+        if not getattr(config, name) >= 0:
+            raise ConfigurationError(f"{name} must be >= 0")
+
+
 class MachineModel(abc.ABC):
     """Converts instrumented step costs into simulated time.
 
@@ -242,10 +279,6 @@ class MachineModel(abc.ABC):
 
     #: Human-readable machine name, e.g. ``"Sun-E4500"``.
     name: str = "machine"
-
-    #: Numeric ``StepTime.detail`` keys emitted as Perfetto counter
-    #: tracks when a tracer is attached to :meth:`run`.
-    TRACE_COUNTERS: tuple = ()
 
     @property
     @abc.abstractmethod
@@ -261,35 +294,10 @@ class MachineModel(abc.ABC):
     def step_time(self, step: StepCost) -> StepTime:
         """Charge one algorithm step with machine cycles."""
 
-    def run(self, steps: Iterable[StepCost], tracer=None) -> MachineResult:
-        """Time a whole sequence of algorithm steps.
-
-        With a :class:`repro.obs.Tracer` attached, each step becomes a
-        span on the model's timeline and the detail keys named by
-        :attr:`TRACE_COUNTERS` become counter tracks.
-        """
+    def run(self, steps: Iterable[StepCost]) -> MachineResult:
+        """Time a whole sequence of algorithm steps."""
         timed = [self.step_time(s) for s in steps]
-        result = MachineResult(machine=self.name, p=self.p, clock_hz=self.clock_hz, steps=timed)
-        if tracer is not None:
-            self.trace_result(result, tracer)
-        return result
-
-    def trace_result(self, result: MachineResult, tracer) -> None:
-        """Record a finished model run onto ``tracer``'s timeline."""
-        tracer.name_process(0, result.machine)
-        t = 0.0
-        for s in result.steps:
-            args = {
-                k: v for k, v in s.detail.items() if isinstance(v, (int, float))
-            }
-            args["busy_cycles"] = s.busy_cycles
-            tracer.span(s.name, t, t + s.cycles, pid=0, cat="model", args=args)
-            for key in self.TRACE_COUNTERS:
-                v = s.detail.get(key)
-                if isinstance(v, (int, float)):
-                    tracer.counter(key, t, {key: float(v)}, pid=0)
-            t += s.cycles
-        tracer.advance(result.cycles)
+        return MachineResult(machine=self.name, p=self.p, clock_hz=self.clock_hz, steps=timed)
 
     def predict_phases(self, steps: Iterable[StepCost]) -> list[PhasePrediction]:
         """Per-phase ⟨T_M; T_C; B⟩-derived cycle predictions.

@@ -54,7 +54,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .cost import StepCost
-from .machine import MachineModel, StepTime
+from .machine import MachineModel, StepTime, validate_config
 
 __all__ = ["MTAConfig", "CRAY_MTA2", "MTAMachine"]
 
@@ -87,12 +87,12 @@ class MTAConfig:
     barrier_cycles: float = 500.0
 
     def __post_init__(self) -> None:
-        if self.streams_per_proc < 1:
-            raise ConfigurationError("streams_per_proc must be >= 1")
-        if self.mem_latency_cycles <= 0:
-            raise ConfigurationError("mem_latency_cycles must be positive")
-        if self.lookahead <= 0:
-            raise ConfigurationError("lookahead must be positive")
+        validate_config(
+            self,
+            at_least_one=("max_p", "streams_per_proc", "max_outstanding"),
+            positive=("clock_hz", "mem_latency_cycles", "lookahead", "ops_per_instruction"),
+            non_negative=("fused_ops_per_mem", "phase_overhead_cycles", "barrier_cycles"),
+        )
 
     @property
     def saturating_streams(self) -> float:
@@ -114,8 +114,6 @@ class MTAMachine(MachineModel):
     config:
         Machine description; defaults to the paper's Cray MTA-2.
     """
-
-    TRACE_COUNTERS = ("utilization", "hotspot_cycles", "barrier_cycles")
 
     def __init__(self, p: int = 1, config: MTAConfig = CRAY_MTA2) -> None:
         if not 1 <= p <= config.max_p:

@@ -41,15 +41,14 @@ The model charges each algorithm step per processor:
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..arch.cache import CacheConfig, CacheHierarchy
 from ..errors import ConfigurationError
 from .cost import StepCost
-from .machine import MachineModel, StepTime
+from .machine import MachineModel, StepTime, validate_config
 
 __all__ = ["SMPConfig", "SUN_E4500", "SMPMachine"]
 
@@ -103,27 +102,16 @@ class SMPConfig:
     mispredict_penalty_cycles: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("l1", "l2"):
-                if not isinstance(value, CacheConfig):
-                    raise ConfigurationError(f"{f.name} must be a CacheConfig, got {value!r}")
-            elif f.name != "name" and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)
-            ):
-                raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
-        # written as "not (ok)" so NaN fails every check
-        if not self.max_p >= 1:
-            raise ConfigurationError("max_p must be >= 1")
-        for name in ("clock_hz", "bus_words_per_cycle", "stream_overlap", "store_buffer_depth"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in (
-            "l1_hit_cycles", "l2_hit_cycles", "mem_cycles", "cpi",
-            "barrier_base_cycles", "barrier_per_log_p_cycles", "mispredict_penalty_cycles",
-        ):
-            if not getattr(self, name) >= 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+        validate_config(
+            self,
+            nested={"l1": CacheConfig, "l2": CacheConfig},
+            at_least_one=("max_p",),
+            positive=("clock_hz", "bus_words_per_cycle", "stream_overlap", "store_buffer_depth"),
+            non_negative=(
+                "l1_hit_cycles", "l2_hit_cycles", "mem_cycles", "cpi",
+                "barrier_base_cycles", "barrier_per_log_p_cycles", "mispredict_penalty_cycles",
+            ),
+        )
         if not 0 < self.l2_effective_fraction <= 1:
             raise ConfigurationError("l2_effective_fraction must be in (0, 1]")
 
@@ -153,8 +141,6 @@ class SMPMachine(MachineModel):
         timed through the cache simulator; otherwise the counts-mode
         classification is always used.
     """
-
-    TRACE_COUNTERS = ("bus_cycles", "memory_cycles", "barrier_cycles")
 
     def __init__(self, p: int = 1, config: SMPConfig = SUN_E4500, use_traces: bool = True) -> None:
         if not 1 <= p <= config.max_p:
@@ -197,7 +183,7 @@ class SMPMachine(MachineModel):
         l2_frac = l2_eff / working_set
         return l2_frac * c.l2_hit_cycles + (1 - l2_frac) * c.mem_cycles
 
-    def run(self, steps, tracer=None):
+    def run(self, steps):
         """Time a step sequence, carrying trace-mode cache state across steps.
 
         A run's steps execute back to back on the real machine, so the
@@ -215,12 +201,7 @@ class SMPMachine(MachineModel):
             else None
         )
         timed = [self.step_time(s, _cache_state=cache_state) for s in steps]
-        result = MachineResult(
-            machine=self.name, p=self.p, clock_hz=self.clock_hz, steps=timed
-        )
-        if tracer is not None:
-            self.trace_result(result, tracer)
-        return result
+        return MachineResult(machine=self.name, p=self.p, clock_hz=self.clock_hz, steps=timed)
 
     def step_time(self, step: StepCost, *, _cache_state=None) -> StepTime:
         if step.p != self.p:

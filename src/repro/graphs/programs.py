@@ -56,7 +56,8 @@ class CCSim:
     iterations:
         Outer graft-and-shortcut iterations executed.
     report:
-        Whole-run simulation report.
+        Whole-run simulation report (cycles and machine counters add
+        over phases).
     phase_reports:
         One report per engine phase, in execution order.
     """
@@ -68,15 +69,11 @@ class CCSim:
 
     @property
     def summary(self):
-        """Observability report (:class:`repro.obs.RunSummary`) for the run.
-
-        Built from the per-phase reports with the same arithmetic as
-        :func:`~repro.sim.stats.combine_reports`, so ``summary.utilization``
-        equals ``report.utilization`` exactly.
-        """
+        """Observability report (:class:`repro.obs.RunSummary`) of
+        :attr:`report`, the run totals."""
         from ..obs.summary import RunSummary
 
-        return RunSummary.from_reports(self.report.name, self.phase_reports)
+        return RunSummary.from_report(self.report)
 
 
 def simulate_mta_cc(

@@ -61,8 +61,8 @@ class MTAListRankingSim:
     ranks:
         Computed 0-based ranks (validated by tests against the ground truth).
     report:
-        Whole-run :class:`~repro.sim.stats.SimReport` (cycles add over
-        phases; utilization is cycle-weighted).
+        Whole-run :class:`~repro.sim.stats.SimReport` (cycles and
+        machine counters add over phases; utilization is cycle-weighted).
     phase_reports:
         One report per parallel phase.
     """
@@ -73,15 +73,11 @@ class MTAListRankingSim:
 
     @property
     def summary(self):
-        """Observability report (:class:`repro.obs.RunSummary`) for the run.
-
-        Built from the per-phase reports with the same arithmetic as
-        :func:`~repro.sim.stats.combine_reports`, so ``summary.utilization``
-        equals ``report.utilization`` exactly.
-        """
+        """Observability report (:class:`repro.obs.RunSummary`) of
+        :attr:`report`, the run totals."""
         from ..obs.summary import RunSummary
 
-        return RunSummary.from_reports(self.report.name, self.phase_reports)
+        return RunSummary.from_report(self.report)
 
 
 def simulate_mta_list_ranking(

@@ -1,9 +1,8 @@
 """Observability subsystem: phase tracing, contention profiling, trace export.
 
-The engines in :mod:`repro.sim` and the analytic models in
-:mod:`repro.core` accept an optional :class:`Tracer`; when one is
-present they emit phase spans (and, at ``op`` level, per-operation
-events) onto a shared cycle timeline.  Traces export to Chrome
+The engines in :mod:`repro.sim` accept an optional :class:`Tracer`;
+when one is present they emit phase spans (and, at ``op`` level,
+per-operation events) onto a shared cycle timeline.  Traces export to Chrome
 ``trace_event`` JSON (open in Perfetto) or a compact JSONL used by the
 golden-trace tests; :class:`RunSummary` condenses a run into the
 per-phase cycle/instruction/memory-op table the benchmarks report, and
@@ -14,7 +13,6 @@ See ``docs/OBSERVABILITY.md`` for the trace format and workflow.
 """
 
 from .contention import (
-    ContentionMonitor,
     ContentionProfile,
     bucket_range,
     fa_concentration,
@@ -41,7 +39,6 @@ __all__ = [
     "RunSummary",
     "PhaseSummary",
     "ContentionProfile",
-    "ContentionMonitor",
     "fa_concentration",
     "log2_bucket",
     "bucket_range",

@@ -22,7 +22,6 @@ __all__ = [
     "bucket_range",
     "fa_concentration",
     "ContentionProfile",
-    "ContentionMonitor",
 ]
 
 
@@ -91,7 +90,9 @@ class ContentionProfile:
 
     @classmethod
     def from_report(cls, report) -> "ContentionProfile":
-        """Build a profile from a :class:`~repro.sim.stats.SimReport`."""
+        """Build a profile from a :class:`~repro.sim.stats.SimReport` or
+        :class:`~repro.obs.RunSummary` (a multi-run program's combined
+        report already holds every run's counters)."""
         d = report.detail
         sites = dict(d.get("fa_sites", {}))
         # the SMP engine records stalls per site only; total them here
@@ -108,49 +109,6 @@ class ContentionProfile:
             l2_misses=list(d.get("l2_misses", [])),
             bus_busy_cycles=float(d.get("bus_busy_cycles", 0.0)),
         )
-
-    @classmethod
-    def from_reports(cls, reports) -> "ContentionProfile":
-        """Merged profile over sequential engine runs.
-
-        Combined reports (:func:`~repro.sim.stats.combine_reports`) drop
-        the per-run contention detail, so multi-run simulations profile
-        from their ``phase_reports`` instead.
-        """
-        merged = cls()
-        for r in reports:
-            merged.merge(cls.from_report(r))
-        return merged
-
-    def merge(self, other: "ContentionProfile") -> "ContentionProfile":
-        """Accumulate another run's counters into this profile (in place)."""
-        for addr, (ops, stalls) in other.fa_sites.items():
-            o, s = self.fa_sites.get(addr, (0, 0))
-            self.fa_sites[addr] = (o + ops, s + stalls)
-        self.fa_total_stalls += other.fa_total_stalls
-        for b, c in other.fe_wait_hist.items():
-            self.fe_wait_hist[b] = self.fe_wait_hist.get(b, 0) + c
-        self.fe_wait_cycles += other.fe_wait_cycles
-        for bid, b in other.barrier_waits.items():
-            cur = self.barrier_waits.get(bid)
-            if cur is None:
-                self.barrier_waits[bid] = dict(b)
-            else:
-                cur["episodes"] += b["episodes"]
-                cur["wait_cycles"] += b["wait_cycles"]
-                cur["max_wait"] = max(cur["max_wait"], b["max_wait"])
-        for attr in ("barrier_wait_per_proc", "l1_misses", "l2_misses"):
-            theirs = getattr(other, attr)
-            if theirs:
-                mine = getattr(self, attr)
-                if len(mine) < len(theirs):
-                    mine = mine + [0] * (len(theirs) - len(mine))
-                setattr(
-                    self, attr, [a + b for a, b in zip(mine, theirs + [0] * len(mine), strict=False)]
-                )
-        self.bank_stalls += other.bank_stalls
-        self.bus_busy_cycles += other.bus_busy_cycles
-        return self
 
     def hottest_fa_sites(self, k: int = 5) -> list[tuple[int, int, int]]:
         """Top-``k`` fetch-add cells by stall cycles: (addr, ops, stalls)."""
@@ -199,32 +157,3 @@ class ContentionProfile:
         if len(lines) == 1:
             lines.append("  (no contention recorded)")
         return "\n".join(lines)
-
-
-class ContentionMonitor:
-    """Live :class:`~repro.sim.hooks.HookBus` listener that accumulates
-    a merged :class:`ContentionProfile` across engine runs.
-
-    Pass one via the engines' ``hooks=`` argument (or straight to
-    :class:`~repro.sim.kernel.SimKernel`); at the end of every run it
-    folds that run's contention counters into :attr:`profile`, so a
-    multi-phase simulation (e.g. the four phases of Alg. 1) yields one
-    whole-program profile with no manual report plumbing::
-
-        monitor = ContentionMonitor()
-        eng = MTAEngine(p=4, hooks=(monitor,))
-        ...
-        print(monitor.profile.render())
-
-    The monitor is engine-agnostic: it reads only the ``end_run``
-    event's :class:`~repro.sim.stats.SimReport`, so it works unchanged
-    on every registered machine model.
-    """
-
-    def __init__(self):
-        self.profile = ContentionProfile()
-        self.runs = 0
-
-    def end_run(self, report) -> None:
-        self.profile.merge(ContentionProfile.from_report(report))
-        self.runs += 1

@@ -113,7 +113,8 @@ class RunSummary:
         """Summarize one engine :class:`~repro.sim.stats.SimReport`.
 
         Uses the report's phase slices when present (PHASE markers or
-        combined multi-run reports), else a single whole-run phase.
+        combined multi-run reports), else a single whole-run phase; a
+        combined report's ``detail`` already holds run totals.
         """
         if report.phases:
             phases = [
@@ -143,39 +144,6 @@ class RunSummary:
             issued=float(report.total_issued),
             phases=phases,
             detail=dict(report.detail),
-        )
-
-    @classmethod
-    def from_reports(cls, name: str, reports: list, machine: str = "") -> "RunSummary":
-        """Summarize sequential engine phases (one SimReport each).
-
-        Cycles and issued instructions add; utilization becomes the
-        cycle-weighted whole-run figure — the same arithmetic as
-        :func:`repro.sim.stats.combine_reports`, so the summary's
-        utilization equals the combined report's bit for bit.
-        """
-        if not reports:
-            raise ConfigurationError("need at least one report")
-        p = reports[0].p
-        clock = reports[0].clock_hz
-        if any(r.p != p or r.clock_hz != clock for r in reports):
-            raise ConfigurationError("cannot summarize reports from different machines")
-        phases: list[PhaseSummary] = []
-        detail: dict = {}
-        for r in reports:
-            sub = cls.from_report(r, machine=machine)
-            phases.extend(sub.phases)
-            for k, v in r.detail.items():
-                detail.setdefault(k, v)
-        return cls(
-            name=name,
-            machine=machine,
-            p=p,
-            clock_hz=clock,
-            cycles=float(sum(int(r.cycles) for r in reports)),
-            issued=float(sum(r.total_issued for r in reports)),
-            phases=phases,
-            detail=detail,
         )
 
     @classmethod

@@ -1,17 +1,15 @@
 """Event-trace recorder threaded through the simulators.
 
 A :class:`Tracer` collects :class:`~repro.obs.events.TraceEvent`
-records from one or more engine runs (or analytic-model runs) onto a
-single run-global cycle timeline.  Every consumer of a tracer treats
-``None`` as "tracing off", so the disabled path costs the engines one
-attribute test per run and — at ``op`` level — one boolean test per
-issued instruction.
+records from one or more engine runs onto a single run-global cycle
+timeline.  Every consumer of a tracer treats ``None`` as "tracing off",
+so the disabled path costs the engines one attribute test per run and —
+at ``op`` level — one boolean test per issued instruction.
 
 Two recording levels:
 
 ``"phase"``
-    Phase spans, one per :class:`~repro.sim.stats.PhaseSlice`, plus
-    whatever counter/instant events the machines emit per phase.  Cheap
+    Phase spans, one per :class:`~repro.sim.stats.PhaseSlice`.  Cheap
     enough for full benchmark runs.
 ``"op"``
     Additionally one span per simulated machine operation (loads,
@@ -29,7 +27,7 @@ execute back to back.
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from .events import COUNTER, INSTANT, METADATA, SPAN, TraceEvent
+from .events import INSTANT, METADATA, SPAN, TraceEvent
 
 __all__ = ["Tracer", "PHASE_TRACK_TID"]
 
@@ -56,7 +54,7 @@ class Tracer:
         self.level = level
         self.events: list[TraceEvent] = []
         self._offset = 0.0
-        self._named: set[tuple[int, int | None]] = set()
+        self._named: set[int] = set()
 
     # -- timeline ---------------------------------------------------------------
 
@@ -124,30 +122,13 @@ class Tracer:
             )
         )
 
-    def counter(self, name: str, ts: float, values: dict, *, pid: int = 0) -> None:
-        """A counter sample (rendered as a stacked track by Perfetto)."""
-        self.events.append(
-            TraceEvent(name=name, ph=COUNTER, ts=self._offset + ts, pid=pid, args=values)
-        )
-
     def name_process(self, pid: int, name: str) -> None:
         """Attach a display name to ``pid`` (idempotent)."""
-        if (pid, None) in self._named:
+        if pid in self._named:
             return
-        self._named.add((pid, None))
+        self._named.add(pid)
         self.events.append(
             TraceEvent(name="process_name", ph=METADATA, pid=pid, ts=0.0, args={"name": name})
-        )
-
-    def name_thread(self, pid: int, tid: int, name: str) -> None:
-        """Attach a display name to ``(pid, tid)`` (idempotent)."""
-        if (pid, tid) in self._named:
-            return
-        self._named.add((pid, tid))
-        self.events.append(
-            TraceEvent(
-                name="thread_name", ph=METADATA, pid=pid, tid=tid, ts=0.0, args={"name": name}
-            )
         )
 
     # -- engine integration -----------------------------------------------------

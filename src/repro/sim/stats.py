@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,8 @@ class SimReport:
         Instructions by opcode tag (``{"LD": ..., "C": ..., ...}``).
     detail:
         Engine-specific extras (fetch-add serialization stalls, cache
-        hit rates, barrier waits, …).
+        hit rates, barrier waits, …); run totals in a report combined by
+        :func:`combine_reports`.
     phases:
         :class:`PhaseSlice` decomposition of the run (empty when the
         program emitted no ``PHASE`` markers and the report was not
@@ -114,8 +116,11 @@ class SimReport:
 def combine_reports(name: str, reports: list[SimReport]) -> SimReport:
     """Aggregate sequential phases into one run-level report.
 
-    Cycles add; issued instructions add; utilization becomes the
-    cycle-weighted whole-run figure (phases must share ``p`` and clock).
+    Cycles add; issued instructions and op counts add; utilization
+    becomes the cycle-weighted whole-run figure (phases must share ``p``
+    and clock); each run's phase slices move onto the combined timeline;
+    and the runs' machine counters (``detail``) add up — see
+    :func:`_add_detail`.
     """
     if not reports:
         raise ValueError("need at least one report")
@@ -149,6 +154,26 @@ def combine_reports(name: str, reports: list[SimReport]) -> SimReport:
         issued=np.sum([r.issued for r in reports], axis=0),
         clock_hz=clock,
         op_counts=op_counts,
-        detail={"phases": [r.name for r in reports]},
+        detail=dict(functools.reduce(_add_detail, [r.detail for r in reports])),
         phases=phases,
     )
+
+
+def _add_detail(a, b, key=None):
+    """Run totals of two runs' machine counters (``SimReport.detail``).
+
+    Dicts merge per key (a key only one run has is copied), tuples and
+    lists add elementwise, and numbers add — except a barrier's
+    ``max_wait``, which keeps the larger.  Builds new containers; the
+    runs' own reports are left as they were.
+    """
+    if isinstance(a, dict):
+        out = dict(a)
+        for k, v in b.items():
+            out[k] = _add_detail(out[k], v, k) if k in out else v
+        return out
+    if isinstance(a, (tuple, list)):
+        return type(a)(_add_detail(x, y) for x, y in zip(a, b, strict=True))
+    if key == "max_wait":
+        return max(a, b)
+    return a + b

@@ -45,6 +45,31 @@ class TestRegistry:
         finally:
             backends.registry._REGISTRY.pop("test-backend", None)
 
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("mta-engine", {"config": {"mem_latency": 5}}),
+            ("smp-model", {"bogus": 1}),
+            ("cost-xval", {"config": 1}),
+        ],
+    )
+    def test_unknown_option_is_configuration_error(self, name, options):
+        with pytest.raises(ConfigurationError) as exc:
+            create(name, **options)
+        assert repr(name) in str(exc.value)
+        assert all(key in str(exc.value) for key in options)
+
+    def test_type_error_inside_a_factory_propagates(self):
+        def factory(*, size=1):
+            return len(size)  # TypeError from the body, not from binding
+
+        register("test-backend", factory)
+        try:
+            with pytest.raises(TypeError):
+                create("test-backend", size=3)
+        finally:
+            backends.registry._REGISTRY.pop("test-backend", None)
+
 
 class TestWorkload:
     def test_canonical_round_trip(self):
@@ -152,14 +177,18 @@ class TestEngineHooks:
         "backend_name,workload", CASES, ids=[f"{b}-{w.kind}" for b, w in CASES]
     )
     def test_hooks_observe_without_changing_the_run(self, backend_name, workload):
-        from repro.obs import ContentionMonitor
+        class RunCounter:
+            runs = 0
+
+            def end_run(self, report):
+                self.runs += 1
 
         backend = create(backend_name)
         plain = backend.execute(backend.prepare(workload))
-        monitor = ContentionMonitor()
-        hooked = backend.execute(backend.prepare(workload), hooks=(monitor,))
+        counter = RunCounter()
+        hooked = backend.execute(backend.prepare(workload), hooks=(counter,))
         assert hooked.to_dict() == plain.to_dict()
-        assert monitor.runs >= 1
+        assert counter.runs >= 1
 
 
 class TestAnalyticConfigOverrides:
@@ -196,6 +225,38 @@ class TestAnalyticConfigOverrides:
         b = create("smp-model", config={"name": "other"})
         assert a.config.name != b.config.name
         assert dataclasses.is_dataclass(a.config)
+
+
+class TestModelConfigValues:
+    """The MTA and cluster model configs reject malformed values the way
+    ``SMPConfig`` does: a ``ConfigurationError`` before anything runs."""
+
+    @pytest.mark.parametrize(
+        "backend, override",
+        [
+            ("mta-model", {"clock_hz": "x"}),
+            ("mta-model", {"clock_hz": True}),
+            ("mta-model", {"mem_latency_cycles": float("nan")}),
+            ("mta-model", {"max_outstanding": 0}),
+            ("mta-model", {"ops_per_instruction": 0}),
+            ("mta-model", {"barrier_cycles": -1}),
+            ("mta-model", {"phase_overhead_cycles": float("nan")}),
+            ("cluster-model", {"clock_hz": True}),
+            ("cluster-model", {"batching": float("nan")}),
+            ("cluster-model", {"barrier_us": "x"}),
+            ("cluster-model", {"rtt_us": -1}),
+            ("cluster-model", {"cpi": float("nan")}),
+            ("cluster-model", {"max_p": 0}),
+        ],
+        ids=str,
+    )
+    def test_malformed_value_is_configuration_error(self, backend, override):
+        from repro.core.runner import Job, run_jobs
+
+        job = Job(Workload("rank", 2, 0, {"n": 256}), backend,
+                  backend_options={"config": override})
+        with pytest.raises(ConfigurationError, match=next(iter(override))):
+            run_jobs([job], workers=1, cache=False)
 
 
 class TestSMPConfigOverrides:

@@ -303,7 +303,7 @@ class TestTrace:
         tracer = Tracer("op")
         sim = direct(tracer)
         assert out.read_text() == jsonl_dumps(tracer.events)
-        profile = ContentionProfile.from_reports(sim.phase_reports).render()
+        profile = ContentionProfile.from_report(sim.report).render()
         assert text.startswith(f"{sim.summary.table()}\n\n{profile}\n\n")
 
     def test_trace_jsonl_output(self, tmp_path, capsys):
@@ -381,6 +381,18 @@ class TestRunCommand:
         record = json.loads(capsys.readouterr().out)
         assert record["backend"] == "mta-model"
         assert record["summary"]["detail"]["algorithm"] == "sv-mta"
+
+    def test_run_json_records_append_as_jsonl(self, capsys):
+        outputs = []
+        for n in ("128", "256"):
+            assert main(
+                ["run", "--workload", "rank", "--backend", "smp-model", "--n", n,
+                 "--json", "--no-cache"]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+        assert all(out.endswith("}\n") for out in outputs)
+        lines = "".join(outputs).splitlines()
+        assert [json.loads(line)["workload"]["params"]["n"] for line in lines] == [128, 256]
 
     def test_run_cached_second_time(self, tmp_path, capsys):
         argv = ["run", "--workload", "rank", "--backend", "smp-model",

@@ -163,27 +163,6 @@ class TestRunSummary:
         with pytest.raises(ConfigurationError):
             s.validate()
 
-    def test_from_reports_matches_combined_utilization(self):
-        r1 = _report(name="a", cycles=70, issued=(10, 20))
-        r2 = _report(name="b", cycles=30, issued=(5, 5))
-        s = RunSummary.from_reports("both", [r1, r2])
-        from repro.sim.stats import combine_reports
-
-        combined = combine_reports("both", [r1, r2])
-        assert s.utilization == combined.utilization
-        s.validate()
-
-    def test_from_reports_rejects_mixed_machines(self):
-        r1 = _report()
-        r2 = _report()
-        r2.clock_hz = 2e6
-        with pytest.raises(ConfigurationError):
-            RunSummary.from_reports("x", [r1, r2])
-
-    def test_from_reports_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            RunSummary.from_reports("x", [])
-
     def test_phase_lookup(self):
         s = RunSummary.from_report(_report())
         assert s.phase("run").cycles == 100.0
@@ -248,17 +227,6 @@ class TestContention:
     def test_total_stalls_default_from_sites(self):
         prof = ContentionProfile.from_report(_report(detail={"fa_sites": {1: (4, 2.5), 2: (1, 1.5)}}))
         assert prof.fa_total_stalls == 4
-
-    def test_merge_accumulates(self):
-        a = ContentionProfile.from_report(
-            _report(detail={"fa_sites": {1: (2, 3)}, "barrier_wait_cycles": [1.0, 2.0]})
-        )
-        b = ContentionProfile.from_report(
-            _report(detail={"fa_sites": {1: (1, 1), 2: (5, 0)}, "barrier_wait_cycles": [3.0, 4.0]})
-        )
-        a.merge(b)
-        assert a.fa_sites[1] == (3, 4) and a.fa_sites[2] == (5, 0)
-        assert a.barrier_wait_per_proc == [4.0, 6.0]
 
     def test_empty_profile_renders_placeholder(self):
         assert "no contention" in ContentionProfile().render()

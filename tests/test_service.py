@@ -186,6 +186,23 @@ class TestBasics:
         assert final["error"]["code"] == "execution_error"
         assert "stream_overlap" in final["error"]["message"]
 
+    def test_malformed_model_config_is_execution_error(self, harness):
+        c = harness().client()
+        body = rank_body(backend="cluster-model",
+                         backend_options={"config": {"barrier_us": "x"}})
+        final = c.wait(c.submit(body)["id"], timeout=30)
+        assert final["state"] == "failed"
+        assert final["error"]["code"] == "execution_error"
+        assert "barrier_us" in final["error"]["message"]
+
+    def test_unknown_backend_option_is_execution_error(self, harness):
+        c = harness().client()
+        body = rank_body(backend="mta-engine", backend_options={"config": {"mem_latency": 5}})
+        final = c.wait(c.submit(body)["id"], timeout=30)
+        assert final["state"] == "failed"
+        assert final["error"]["code"] == "execution_error"
+        assert "'mta-engine'" in final["error"]["message"]
+
     def test_metrics_shape(self, harness):
         c = harness().client()
         c.wait(c.submit(rank_body())["id"], timeout=30)

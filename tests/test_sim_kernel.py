@@ -330,31 +330,6 @@ class TestMTANext:
         assert summary.detail["backend"] == "mta-next-engine"
 
 
-class TestContentionMonitor:
-    def test_accumulates_across_runs(self):
-        from repro.obs import ContentionMonitor
-
-        monitor = ContentionMonitor()
-        for _ in range(2):
-            eng = MTAEngine(p=1, streams_per_proc=4, hooks=(monitor,))
-            eng.set_counter(3, 0)
-
-            def worker():
-                while True:
-                    i = yield isa.fetch_add(3, 1)
-                    if i >= 16:
-                        return
-                    yield isa.compute(1)
-
-            for _ in range(4):
-                eng.spawn(worker())
-            eng.run("fa")
-        assert monitor.runs == 2
-        assert 3 in monitor.profile.fa_sites
-        ops, _stalls = monitor.profile.fa_sites[3]
-        assert ops >= 2 * 16  # both runs' traffic merged
-
-
 class TestSMPExplicitBarrier:
     def test_register_barrier_with_subset_count(self):
         """SMP barriers are implicit (need=p) unless explicitly

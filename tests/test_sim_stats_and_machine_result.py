@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.sim.stats import SimReport, combine_reports
 
 
-def report(name="r", p=2, cycles=100, issued=(50, 30), clock=220e6, ops=None):
+def report(name="r", p=2, cycles=100, issued=(50, 30), clock=220e6, ops=None, detail=None):
     return SimReport(
         name=name,
         p=p,
@@ -17,6 +17,7 @@ def report(name="r", p=2, cycles=100, issued=(50, 30), clock=220e6, ops=None):
         issued=np.array(issued, dtype=np.int64),
         clock_hz=clock,
         op_counts=ops or {},
+        detail=detail or {},
     )
 
 
@@ -45,7 +46,9 @@ class TestCombineReports:
         assert c.cycles == 150
         assert c.total_issued == 40
         assert c.op_counts == {"C": 35, "LD": 5}
-        assert c.detail["phases"] == ["a", "b"]
+        assert [s.name for s in c.phases] == ["a", "b"]
+        assert [(s.start, s.end) for s in c.phases] == [(0, 100), (100, 150)]
+        assert c.detail == {}
 
     def test_utilization_is_cycle_weighted(self):
         # phase a: 100% busy for 100 cycles; phase b: idle 100 cycles
@@ -65,6 +68,40 @@ class TestCombineReports:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine_reports("x", [])
+
+    def test_detail_counters_merge_per_key(self):
+        a = report("a", detail={"fa_serialization_stalls": 7, "fe_wait_hist": {1: 2, 3: 1}})
+        b = report("b", detail={"fa_serialization_stalls": 5, "fe_wait_hist": {3: 4, 5: 1},
+                                "bank_contention_stalls": 9})
+        c = combine_reports("ab", [a, b])
+        assert c.detail == {
+            "fa_serialization_stalls": 12,
+            "fe_wait_hist": {1: 2, 3: 5, 5: 1},
+            "bank_contention_stalls": 9,
+        }
+
+    def test_detail_tuples_add_elementwise(self):
+        a = report("a", detail={"fa_sites": {10: (4, 30)}, "waits": [1.0, 2.0]})
+        b = report("b", detail={"fa_sites": {10: (1, 5), 11: (2, 0)}, "waits": [3.0, 4.0]})
+        c = combine_reports("ab", [a, b])
+        assert c.detail["fa_sites"] == {10: (5, 35), 11: (2, 0)}
+        assert c.detail["waits"] == [4.0, 6.0]
+
+    def test_detail_barrier_max_wait_is_the_maximum(self):
+        def waits(episodes, cycles, max_wait):
+            return {"barrier_waits": {"b": {"episodes": episodes, "wait_cycles": cycles,
+                                            "max_wait": max_wait}}}
+
+        c = combine_reports("abc", [report("a", detail=waits(4, 20, 9)),
+                                    report("b", detail=waits(4, 10, 3)),
+                                    report("c", detail={"barrier_waits": {}})])
+        assert c.detail["barrier_waits"] == {
+            "b": {"episodes": 8, "wait_cycles": 30, "max_wait": 9}
+        }
+
+    def test_detail_of_one_report_is_unchanged(self):
+        detail = {"fa_sites": {10: (4, 30)}, "barrier_waits": {}, "fe_wait_cycles": 3}
+        assert combine_reports("a", [report("a", detail=detail)]).detail == detail
 
 
 class TestMachineResult:

@@ -297,7 +297,7 @@ class TestCli:
         assert main(["lint", "--jsonl", "-", "--strict"]) == 0
         out = capsys.readouterr().out
         lines = [ln for ln in out.splitlines() if ln.startswith("{")]
-        # the 16 annotated sites surface as warnings under --strict
+        # the 14 annotated sites surface as warnings under --strict
         findings = load_jsonl("\n".join(lines))
         assert findings, "expected annotated findings under --strict"
         assert all(f.severity == "warning" for f in findings)
