@@ -31,6 +31,7 @@ import abc
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -71,7 +72,8 @@ def int_value(mapping: Mapping[str, Any], key: str, default: Any = _REQUIRED):
     or None (a None default is returned as is).
 
     Workload params and options arrive from the CLI and the service, so
-    a missing required key or a value that is not an integer raises
+    a missing required key or a value that is not an integer (a bool, a
+    float or a string is not one) raises
     :class:`~repro.errors.ConfigurationError` naming the key and value.
     """
     value = mapping.get(key)
@@ -81,10 +83,9 @@ def int_value(mapping: Mapping[str, Any], key: str, default: Any = _REQUIRED):
         raise ConfigurationError(f"workload needs an integer {key!r}")
     if value is None:
         return None
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"{key}={value!r} is not an integer") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{key}={value!r} is not an integer")
+    return int(value)
 
 
 def override_config(config, overrides, what: str):

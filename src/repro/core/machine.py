@@ -239,11 +239,12 @@ def validate_config(
     config's ``__post_init__``).
 
     Every field but ``name`` must hold a real number (a bool is not one),
-    except the fields ``nested`` maps to the dataclass their value must
-    be an instance of.  Then the fields named in ``at_least_one`` must be
-    ``>= 1``, those in ``positive`` ``> 0`` and those in ``non_negative``
-    ``>= 0``.  The first bad field raises
-    :class:`~repro.errors.ConfigurationError` naming it.
+    and an ``int``-annotated field an integer, except the fields
+    ``nested`` maps to the dataclass their value must be an instance of.
+    Then the fields named in ``at_least_one`` must be ``>= 1``, those in
+    ``positive`` ``> 0`` and those in ``non_negative`` ``>= 0``.  The
+    first bad field raises :class:`~repro.errors.ConfigurationError`
+    naming it.
     """
     nested = nested or {}
     for f in fields(config):
@@ -253,10 +254,12 @@ def validate_config(
                 raise ConfigurationError(
                     f"{f.name} must be a {nested[f.name].__name__}, got {value!r}"
                 )
-        elif f.name != "name" and (
-            isinstance(value, bool) or not isinstance(value, numbers.Real)
-        ):
+        elif f.name == "name":
+            continue
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+        elif f.type in (int, "int") and not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
     # written as "not (ok)" so NaN fails every check
     for name in at_least_one:
         if not getattr(config, name) >= 1:

@@ -33,7 +33,6 @@ import numpy as np
 
 from ..arch.memory import AddressSpace
 from ..errors import ConfigurationError, SimulationError, WorkloadError
-from ..sim import isa
 from ..sim.branch import OneBitPredictor, penalty_ops
 from ..sim.mta_engine import MTAEngine
 from ..sim.smp_engine import SMPEngine
@@ -127,11 +126,15 @@ def simulate_mta_cc(
     ev = sym.v.tolist()
     m2 = len(eu)
 
+    # Ops are literal tuples on allocation bases: EdgeList bounds every
+    # endpoint and d only ever holds vertex ids, so no op needs a check.
     space = AddressSpace()
     a_d = space.alloc("D", n)
-    a_e = space.alloc("E", 2 * m2)
-    a_ctr = space.alloc("counters", 8)
+    b_d = a_d.base
+    b_e = space.alloc("E", 2 * m2).base
+    b_ctr = space.alloc("counters", 8).base
     a_flag = space.alloc("graft-flag", 1)
+    b_flag = a_flag.base
 
     d = list(range(n))
     eng_cls = engine if engine is not None else MTAEngine
@@ -160,46 +163,46 @@ def simulate_mta_cc(
     def graft_worker(counter_addr: int):
         local_graft = False
         while True:
-            start = yield isa.fetch_add(counter_addr, edges_per_chunk)
+            start = yield ("FA", counter_addr, edges_per_chunk)
             if start >= m2:
                 break
             for i in range(start, min(start + edges_per_chunk, m2)):
                 u = eu[i]
                 v = ev[i]
-                yield isa.load(a_e.addr(2 * i))
-                yield isa.load(a_e.addr(2 * i + 1))
+                yield ("L", b_e + 2 * i)
+                yield ("L", b_e + 2 * i + 1)
                 du = d[u]
-                yield isa.load_dep(a_d.addr(u))
+                yield ("LD", b_d + u)
                 dv = d[v]
-                yield isa.load_dep(a_d.addr(v))
+                yield ("LD", b_d + v)
                 ddv = d[dv]
-                yield isa.load_dep(a_d.addr(dv))
-                yield isa.compute(1)
+                yield ("LD", b_d + dv)
+                yield ("C", 1)
                 if du < dv and dv == ddv:
                     d[dv] = du  # the race is resolved by simulated time
                     local_graft = True
-                    yield isa.store(a_d.addr(dv))
+                    yield ("S", b_d + dv)
         if local_graft and not graft_flag[0]:
             graft_flag[0] = True
-            yield isa.store(a_flag.addr(0))
+            yield ("S", b_flag)
 
     def shortcut_worker(counter_addr: int, chunk: int):
         while True:
-            start = yield isa.fetch_add(counter_addr, chunk)
+            start = yield ("FA", counter_addr, chunk)
             if start >= n:
                 break
             for i in range(start, min(start + chunk, n)):
                 di = d[i]
-                yield isa.load_dep(a_d.addr(i))
+                yield ("LD", b_d + i)
                 while True:
                     ddi = d[di]
-                    yield isa.load_dep(a_d.addr(di))
-                    yield isa.compute(1)
+                    yield ("LD", b_d + di)
+                    yield ("C", 1)
                     if di == ddi:
                         break
                     d[i] = ddi
                     di = ddi
-                    yield isa.store(a_d.addr(i))
+                    yield ("S", b_d + i)
 
     iterations = 0
     while True:
@@ -208,18 +211,18 @@ def simulate_mta_cc(
             raise SimulationError(f"Alg. 3 simulation exceeded {max_iter} iterations")
         graft_flag[0] = False
         eng = eng_cls(p=p, **kw)
-        eng.set_counter(a_ctr.base + 0, 0)
+        eng.set_counter(b_ctr + 0, 0)
         for _ in range(n_workers):
-            eng.spawn(graft_worker(a_ctr.base + 0))
+            eng.spawn(graft_worker(b_ctr + 0))
         reports.append(eng.run(f"mta.graft.{iterations}"))
         if not graft_flag[0]:
             break
         eng = eng_cls(p=p, **kw)
-        eng.set_counter(a_ctr.base + 1, 0)
+        eng.set_counter(b_ctr + 1, 0)
         vchunk = max(4, edges_per_chunk)
         n_sc = max(1, min(p * streams_per_proc, n))
         for _ in range(n_sc):
-            eng.spawn(shortcut_worker(a_ctr.base + 1, vchunk))
+            eng.spawn(shortcut_worker(b_ctr + 1, vchunk))
         reports.append(eng.run(f"mta.shortcut.{iterations}"))
 
     labels = normalize_labels(np.asarray(d, dtype=np.int64))
@@ -295,8 +298,10 @@ def simulate_smp_cc(
 
     space = AddressSpace()
     a_d = space.alloc("D", n)
-    a_e = space.alloc("E", 2 * m2)
+    b_d = a_d.base
+    b_e = space.alloc("E", 2 * m2).base
     a_flag = space.alloc("graft-flag", 1)
+    b_flag = a_flag.base
 
     d = list(range(n))
     shared = {"graft": False, "iterations": 0}
@@ -313,63 +318,63 @@ def simulate_smp_cc(
             if proc == 0:
                 shared["graft"] = False
                 shared["iterations"] = it
-            yield isa.barrier("reset")
+            yield ("B", "reset")
             # Processor 0 alone emits phase markers — marks slice the whole
             # machine's timeline, so a single emitter keeps them a partition.
             if proc == 0:
-                yield isa.phase(f"graft.{it}")
+                yield ("P", f"graft.{it}")
             # graft my contiguous edge chunk
             for i in range(elo, ehi):
                 u = eu[i]
                 v = ev[i]
-                yield isa.load(a_e.addr(2 * i))
-                yield isa.load(a_e.addr(2 * i + 1))
+                yield ("L", b_e + 2 * i)
+                yield ("L", b_e + 2 * i + 1)
                 du = d[u]
-                yield isa.load_dep(a_d.addr(u))
+                yield ("LD", b_d + u)
                 dv = d[v]
-                yield isa.load_dep(a_d.addr(v))
+                yield ("LD", b_d + v)
                 ddv = d[dv]
-                yield isa.load_dep(a_d.addr(dv))
+                yield ("LD", b_d + dv)
                 graft = du < dv and dv == ddv
                 if variant == "branch-avoiding":
                     # predicated min-write: selects instead of a branch,
                     # and the store happens whether or not it grafts
-                    yield isa.compute(2)
+                    yield ("C", 2)
                     if graft:
                         d[dv] = du
                         local_graft = True
-                    yield isa.store(a_d.addr(dv))
+                    yield ("S", b_d + dv)
                 else:
-                    yield isa.compute(1)
+                    yield ("C", 1)
                     if variant == "branchy" and predictors[proc].record(graft):
                         if bubble_ops:
-                            yield isa.compute(bubble_ops)
+                            yield ("C", bubble_ops)
                     if graft:
                         d[dv] = du
                         local_graft = True
-                        yield isa.store(a_d.addr(dv))
+                        yield ("S", b_d + dv)
             if local_graft:
                 shared["graft"] = True
-                yield isa.store(a_flag.addr(0))
-            yield isa.barrier("graft")
+                yield ("S", b_flag)
+            yield ("B", "graft")
             if not shared["graft"]:
                 return
             if proc == 0:
-                yield isa.phase(f"shortcut.{it}")
+                yield ("P", f"shortcut.{it}")
             # shortcut my contiguous vertex chunk
             for i in range(vlo, vhi):
                 di = d[i]
-                yield isa.load_dep(a_d.addr(i))
+                yield ("LD", b_d + i)
                 while True:
                     ddi = d[di]
-                    yield isa.load_dep(a_d.addr(di))
-                    yield isa.compute(1)
+                    yield ("LD", b_d + di)
+                    yield ("C", 1)
                     if di == ddi:
                         break
                     d[i] = ddi
                     di = ddi
-                    yield isa.store(a_d.addr(i))
-            yield isa.barrier("shortcut")
+                    yield ("S", b_d + i)
+            yield ("B", "shortcut")
         raise SimulationError(f"SMP CC simulation exceeded {max_iter} iterations")
 
     if check is not None:

@@ -38,6 +38,7 @@ __all__ = [
     "clustered_list",
     "list_from_order",
     "head_of",
+    "check_successors",
     "validate_list",
     "true_ranks",
 ]
@@ -121,6 +122,22 @@ def head_of(nxt: np.ndarray) -> int:
     return head
 
 
+def check_successors(nxt: np.ndarray) -> None:
+    """Check that ``nxt`` is an integral array whose every entry lies in
+    ``[0, n)`` or equals :data:`TAIL`.
+
+    The cheap, vectorized part of :func:`validate_list`; the thread
+    programs in :mod:`repro.lists.programs` call it once so that every
+    address they build from a successor is in bounds.  Raises
+    :class:`~repro.errors.WorkloadError`.
+    """
+    nxt = np.asarray(nxt)
+    if nxt.dtype.kind not in "iu":
+        raise WorkloadError("successor array must be integral")
+    if not np.all(((nxt >= 0) & (nxt < len(nxt))) | (nxt == TAIL)):
+        raise WorkloadError("successor indices out of range")
+
+
 def validate_list(nxt: np.ndarray) -> int:
     """Check that ``nxt`` encodes one simple chain covering all nodes.
 
@@ -131,15 +148,11 @@ def validate_list(nxt: np.ndarray) -> int:
     n = len(nxt)
     if n == 0:
         raise WorkloadError("empty list")
-    if nxt.dtype.kind not in "iu":
-        raise WorkloadError("successor array must be integral")
-    in_range = (nxt >= 0) & (nxt < n)
+    check_successors(nxt)
     tails = nxt == TAIL
-    if not np.all(in_range | tails):
-        raise WorkloadError("successor indices out of range")
     if tails.sum() != 1:
         raise WorkloadError(f"list must have exactly one tail, found {int(tails.sum())}")
-    succ = nxt[in_range]
+    succ = nxt[nxt >= 0]
     if len(np.unique(succ)) != len(succ):
         raise WorkloadError("a node is the successor of two different nodes")
     head = head_of(nxt)

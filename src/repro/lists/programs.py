@@ -41,11 +41,10 @@ import numpy as np
 
 from ..arch.memory import AddressSpace
 from ..errors import WorkloadError
-from ..sim import isa
 from ..sim.mta_engine import MTAEngine
 from ..sim.smp_engine import SMPEngine
 from ..sim.stats import SimReport, combine_reports
-from .generate import TAIL, head_of
+from .generate import TAIL, check_successors, head_of
 from .helman_jaja import _select_subheads
 from .mta_ranking import _select_walk_heads
 
@@ -127,31 +126,35 @@ def simulate_mta_list_ranking(
     n = len(nxt)
     if n == 0:
         raise WorkloadError("empty list")
+    check_successors(nxt)
     head = head_of(nxt)
     nwalks = max(1, n // max(1, nodes_per_walk))
-    heads = _select_walk_heads(n, head, nwalks)
+    heads = _select_walk_heads(n, head, nwalks).tolist()
     w = len(heads)
     n_workers = min(p * streams_per_proc, w)
 
+    # Ops are literal tuples on allocation bases: check_successors above
+    # bounds every successor, so no op needs a per-op check.
     space = AddressSpace()
-    a_nxt = space.alloc("nxt", n)
-    a_rank = space.alloc("rank", n)
-    a_lnth = space.alloc("lnth", w)
-    a_next = space.alloc("nextw", w)
-    a_tail = space.alloc("tailw", w)
-    a_tmp1 = space.alloc("tmp1", w)
-    a_tmp2 = space.alloc("tmp2", w)
-    a_ctr = space.alloc("counters", 8)
+    b_nxt = space.alloc("nxt", n).base
+    b_rank = space.alloc("rank", n).base
+    b_lnth = space.alloc("lnth", w).base
+    b_next = space.alloc("nextw", w).base
+    b_tail = space.alloc("tailw", w).base
+    b_tmp1 = space.alloc("tmp1", w).base
+    b_tmp2 = space.alloc("tmp2", w).base
+    b_ctr = space.alloc("counters", 8).base
 
     nxt_l = nxt.tolist()
-    marked = np.zeros(n, dtype=bool)
-    marked[heads] = True
-    walk_of_head = {int(h): i for i, h in enumerate(heads)}
+    marked = [False] * n
+    for h in heads:
+        marked[h] = True
+    walk_of_head = {h: i for i, h in enumerate(heads)}
 
-    lnth = np.zeros(w, dtype=np.int64)
-    tail = np.zeros(w, dtype=np.int64)
-    nextw = np.full(w, -1, dtype=np.int64)
-    ranks = np.full(n, -1, dtype=np.int64)
+    lnth = [0] * w
+    tail = [0] * w
+    nextw = [-1] * w
+    ranks = [-1] * n
     reports: list[SimReport] = []
     eng_cls = engine if engine is not None else MTAEngine
     kw = dict(engine_kwargs or {})
@@ -162,73 +165,78 @@ def simulate_mta_list_ranking(
     if kw["check"] is not None:
         kw["check"].set_address_space(space)
 
+    def worker_blocks():
+        """Each worker's walks in order, or None per worker when walks
+        are self-scheduled through a fetch-add counter."""
+        if dynamic:
+            return [None] * n_workers
+        return [iter(b.tolist()) for b in np.array_split(np.arange(w), n_workers)]
+
     # -- phase 1: initialize + mark ------------------------------------------------
     def setup_worker(ctx_counter: int, chunk: int):
         while True:
-            start = yield isa.fetch_add(ctx_counter, chunk)
+            start = yield ("FA", ctx_counter, chunk)
             if start >= n:
                 return
             for j in range(start, min(start + chunk, n)):
-                yield isa.store(a_rank.addr(j))
-                yield isa.compute(1)
+                yield ("S", b_rank + j)
+                yield ("C", 1)
 
     eng = eng_cls(p=p, **kw)
-    eng.set_counter(a_ctr.base + 0, 0)
+    eng.set_counter(b_ctr + 0, 0)
     chunk = max(8, n // max(1, 4 * n_workers))
     for _ in range(n_workers):
-        eng.spawn(setup_worker(a_ctr.base + 0, chunk))
+        eng.spawn(setup_worker(b_ctr + 0, chunk))
     reports.append(eng.run("mta.setup"))
 
     # -- phase 2: walk sublists -------------------------------------------------------
-    def walk_worker_dynamic(counter_addr):
+    def walk_worker(block):
+        """Walk sublists, taking each next walk from the fetch-add
+        counter (``block`` None) or from the pre-assigned ``block``."""
         while True:
-            wi = yield isa.fetch_add(counter_addr, 1)
+            if block is None:
+                wi = yield ("FA", b_ctr + 1, 1)
+            else:
+                wi = next(block, w)
             if wi >= w:
                 return
-            yield from walk_body(wi)
-
-    def walk_worker_block(walk_ids):
-        for wi in walk_ids:
-            yield from walk_body(wi)
-
-    def walk_body(wi: int):
-        j = int(heads[wi])
-        count = 0
-        while True:
-            yield isa.compute(1)
-            succ = nxt_l[j]
-            yield isa.load_dep(a_nxt.addr(j))
-            if succ == TAIL:
-                nextw[wi] = -1
-                break
-            yield isa.load_dep(a_rank.addr(succ))
-            if marked[succ]:
-                nextw[wi] = walk_of_head[succ]
-                break
-            j = succ
-            count += 1
-        lnth[wi] = count + 1
-        tail[wi] = j
-        yield isa.store(a_lnth.addr(wi))
-        yield isa.store(a_tail.addr(wi))
-        yield isa.store(a_next.addr(wi))
+            j = heads[wi]
+            count = 0
+            while True:
+                yield ("C", 1)
+                succ = nxt_l[j]
+                yield ("LD", b_nxt + j)
+                if succ == TAIL:
+                    nextw[wi] = -1
+                    break
+                yield ("LD", b_rank + succ)
+                if marked[succ]:
+                    nextw[wi] = walk_of_head[succ]
+                    break
+                j = succ
+                count += 1
+            lnth[wi] = count + 1
+            tail[wi] = j
+            yield ("S", b_lnth + wi)
+            yield ("S", b_tail + wi)
+            yield ("S", b_next + wi)
 
     eng = eng_cls(p=p, **kw)
     if dynamic:
-        eng.set_counter(a_ctr.base + 1, 0)
-        for _ in range(n_workers):
-            eng.spawn(walk_worker_dynamic(a_ctr.base + 1))
-    else:
-        blocks = np.array_split(np.arange(w), n_workers)
-        for b in blocks:
-            eng.spawn(walk_worker_block(b.tolist()))
+        eng.set_counter(b_ctr + 1, 0)
+    for block in worker_blocks():
+        eng.spawn(walk_worker(block))
     reports.append(eng.run("mta.walk"))
 
     # -- phase 3: rank walk heads (double-buffered pointer jumping) --------------------
     # suffix[i] accumulates the node count from walk i to the chain end;
     # offset-before-walk = n - suffix, exactly the paper's NLIST - lnth[i].
-    suffix = lnth.astype(np.int64).copy()
-    ptr = nextw.copy()
+    # Pointer jumping only copies values already in ptr, so checking it
+    # once bounds every address of every round.
+    if min(nextw) < -1 or max(nextw) >= w:
+        raise WorkloadError("walk successors out of range; the list is malformed")
+    suffix = list(lnth)
+    ptr = list(nextw)
     rounds = max(1, math.ceil(math.log2(max(w, 2))))
     wy_workers = min(p * streams_per_proc, w)
 
@@ -236,23 +244,23 @@ def simulate_mta_list_ranking(
         for _ in range(n_rounds):
             staged = []
             for i in walk_ids:
-                yield isa.load_dep(a_next.addr(i))
-                nx = int(ptr[i])
+                yield ("LD", b_next + i)
+                nx = ptr[i]
                 if nx >= 0:
-                    yield isa.load_dep(a_lnth.addr(nx))
-                    yield isa.load_dep(a_next.addr(nx))
+                    yield ("LD", b_lnth + nx)
+                    yield ("LD", b_next + nx)
                     staged.append((i, suffix[nx], ptr[nx]))
-                    yield isa.store(a_tmp1.addr(i))
-                    yield isa.store(a_tmp2.addr(i))
-                yield isa.compute(1)
-            yield isa.barrier("wy-gather")
+                    yield ("S", b_tmp1 + i)
+                    yield ("S", b_tmp2 + i)
+                yield ("C", 1)
+            yield ("B", "wy-gather")
             for i, add, newptr in staged:
                 suffix[i] += add
                 ptr[i] = newptr
-                yield isa.load_dep(a_tmp1.addr(i))
-                yield isa.store(a_lnth.addr(i))
-                yield isa.store(a_next.addr(i))
-            yield isa.barrier("wy-apply")
+                yield ("LD", b_tmp1 + i)
+                yield ("S", b_lnth + i)
+                yield ("S", b_next + i)
+            yield ("B", "wy-apply")
 
     eng = eng_cls(p=p, **kw)
     eng.register_barrier("wy-gather", wy_workers)
@@ -260,47 +268,41 @@ def simulate_mta_list_ranking(
     for b in np.array_split(np.arange(w), wy_workers):
         eng.spawn(wyllie_worker(b.tolist(), rounds))
     reports.append(eng.run("mta.rank-walks"))
-    offsets = (n - suffix).astype(np.int64)
+    offsets = [n - s for s in suffix]
 
     # -- phase 4: re-traverse writing final ranks -----------------------------------
-    def rerank_body(wi: int):
-        j = int(heads[wi])
-        stop = int(tail[wi])
-        r = int(offsets[wi])
+    def rerank_worker(block):
+        """Re-traverse sublists, each next walk taken as in :func:`walk_worker`."""
         while True:
-            ranks[j] = r
-            yield isa.store(a_rank.addr(j))
-            yield isa.compute(1)
-            if j == stop:
-                break
-            r += 1
-            j2 = nxt_l[j]
-            yield isa.load_dep(a_nxt.addr(j))
-            j = j2
-
-    def rerank_dynamic(counter_addr):
-        while True:
-            wi = yield isa.fetch_add(counter_addr, 1)
+            if block is None:
+                wi = yield ("FA", b_ctr + 2, 1)
+            else:
+                wi = next(block, w)
             if wi >= w:
                 return
-            yield from rerank_body(wi)
-
-    def rerank_block(walk_ids):
-        for wi in walk_ids:
-            yield from rerank_body(wi)
+            j = heads[wi]
+            stop = tail[wi]
+            r = offsets[wi]
+            while True:
+                ranks[j] = r
+                yield ("S", b_rank + j)
+                yield ("C", 1)
+                if j == stop:
+                    break
+                r += 1
+                j2 = nxt_l[j]
+                yield ("LD", b_nxt + j)
+                j = j2
 
     eng = eng_cls(p=p, **kw)
     if dynamic:
-        eng.set_counter(a_ctr.base + 2, 0)
-        for _ in range(n_workers):
-            eng.spawn(rerank_dynamic(a_ctr.base + 2))
-    else:
-        for b in np.array_split(np.arange(w), n_workers):
-            eng.spawn(rerank_block(b.tolist()))
+        eng.set_counter(b_ctr + 2, 0)
+    for block in worker_blocks():
+        eng.spawn(rerank_worker(block))
     reports.append(eng.run("mta.rerank"))
 
     return MTAListRankingSim(
-        ranks=ranks,
+        ranks=np.array(ranks, dtype=np.int64),
         report=combine_reports("mta.list-ranking", reports),
         phase_reports=reports,
     )
@@ -334,34 +336,36 @@ def simulate_smp_list_ranking(
     n = len(nxt)
     if n == 0:
         raise WorkloadError("empty list")
+    check_successors(nxt)
     if config is None:
         config = SUN_E4500
     rng = np.random.default_rng(rng)
     if s is None:
         s = 8 * p
     head = head_of(nxt)
-    subheads = _select_subheads(n, head, s, rng)
+    subheads = _select_subheads(n, head, s, rng).tolist()
     s_eff = len(subheads)
 
     space = AddressSpace()
-    a_nxt = space.alloc("nxt", n)
-    a_local = space.alloc("local", n)
-    a_sid = space.alloc("sid", n)
-    a_out = space.alloc("out", n)
-    a_marked = space.alloc("marked", n)
-    a_sub = space.alloc("sublists", 4 * s_eff)
-    a_ctr = space.alloc("counters", 8)
+    b_nxt = space.alloc("nxt", n).base
+    b_local = space.alloc("local", n).base
+    b_sid = space.alloc("sid", n).base
+    b_out = space.alloc("out", n).base
+    b_marked = space.alloc("marked", n).base
+    b_sub = space.alloc("sublists", 4 * s_eff).base
+    b_ctr = space.alloc("counters", 8).base
 
     nxt_l = nxt.tolist()
-    marked = np.zeros(n, dtype=bool)
-    marked[subheads] = True
-    walk_of_head = {int(h): i for i, h in enumerate(subheads)}
-    local = np.zeros(n, dtype=np.int64)
-    sid = np.full(n, -1, dtype=np.int64)
-    totals = np.zeros(s_eff, dtype=np.int64)
-    nextw = np.full(s_eff, -1, dtype=np.int64)
-    offsets = np.zeros(s_eff, dtype=np.int64)
-    out = np.zeros(n, dtype=np.int64)
+    marked = [False] * n
+    for h in subheads:
+        marked[h] = True
+    walk_of_head = {h: i for i, h in enumerate(subheads)}
+    local = [0] * n
+    sid = [-1] * n
+    totals = [0] * s_eff
+    nextw = [-1] * s_eff
+    offsets = [0] * s_eff
+    out = [0] * n
 
     bounds = np.linspace(0, n, p + 1).astype(int)
 
@@ -371,78 +375,76 @@ def simulate_smp_list_ranking(
         # (they slice the whole machine's timeline), so one designated
         # emitter keeps the slices a clean partition.
         if proc == 0:
-            yield isa.phase("s1.sweep")
+            yield ("P", "s1.sweep")
         # -- step 1: contiguous head-sum sweep --------------------------------
         for j in range(lo, hi):
-            yield isa.load(a_nxt.addr(j))
-            yield isa.compute(1)
-        yield isa.barrier("s1")
+            yield ("L", b_nxt + j)
+            yield ("C", 1)
+        yield ("B", "s1")
         # -- step 2: processor 0 marks the sublist heads ------------------------
         if proc == 0:
-            yield isa.phase("s2.mark")
+            yield ("P", "s2.mark")
             for i, h in enumerate(subheads):
-                yield isa.store(a_marked.addr(int(h)))
-                yield isa.store(a_sub.addr(i))
-                yield isa.compute(1)
-        yield isa.barrier("s2")
+                yield ("S", b_marked + h)
+                yield ("S", b_sub + i)
+                yield ("C", 1)
+        yield ("B", "s2")
         if proc == 0:
-            yield isa.phase("s3.walk")
+            yield ("P", "s3.walk")
         # -- step 3: walk sublists off the shared work queue ---------------------
         while True:
-            wi = yield isa.fetch_add(a_ctr.base + 0, 1)
+            wi = yield ("FA", b_ctr + 0, 1)
             if wi >= s_eff:
                 break
-            j = int(subheads[wi])
+            j = subheads[wi]
             run = 0
             while True:
                 run += 1
                 local[j] = run
                 sid[j] = wi
-                yield isa.store(a_local.addr(j))
-                yield isa.store(a_sid.addr(j))
-                yield isa.compute(1)
+                yield ("S", b_local + j)
+                yield ("S", b_sid + j)
+                yield ("C", 1)
                 succ = nxt_l[j]
-                yield isa.load_dep(a_nxt.addr(j))
+                yield ("LD", b_nxt + j)
                 if succ == TAIL:
                     nextw[wi] = -1
                     break
-                yield isa.load_dep(a_marked.addr(succ))
+                yield ("LD", b_marked + succ)
                 if marked[succ]:
                     nextw[wi] = walk_of_head[succ]
                     break
                 j = succ
             totals[wi] = run
-            yield isa.store(a_sub.addr(s_eff + wi))
-        yield isa.barrier("s3")
+            yield ("S", b_sub + s_eff + wi)
+        yield ("B", "s3")
         # -- step 4: serial prefix over sublist records on processor 0 -----------
         if proc == 0:
-            yield isa.phase("s4.prefix")
-            order = []
-            pointed = set(int(x) for x in nextw if x >= 0)
+            yield ("P", "s4.prefix")
+            pointed = {x for x in nextw if x >= 0}
             cur = next(i for i in range(s_eff) if i not in pointed)
             acc = 0
             for _ in range(s_eff):
-                order.append(cur)
                 offsets[cur] = acc
-                acc += int(totals[cur])
-                yield isa.load_dep(a_sub.addr(s_eff + cur))
-                yield isa.load_dep(a_sub.addr(2 * s_eff + cur))
-                yield isa.store(a_sub.addr(3 * s_eff + cur))
-                yield isa.compute(2)
-                cur = int(nextw[cur])
+                acc += totals[cur]
+                yield ("LD", b_sub + s_eff + cur)
+                yield ("LD", b_sub + 2 * s_eff + cur)
+                yield ("S", b_sub + 3 * s_eff + cur)
+                yield ("C", 2)
+                cur = nextw[cur]
                 if cur < 0:
                     break
-        yield isa.barrier("s4")
+        yield ("B", "s4")
         if proc == 0:
-            yield isa.phase("s5.combine")
+            yield ("P", "s5.combine")
         # -- step 5: contiguous combine sweep --------------------------------------
         for j in range(lo, hi):
-            yield isa.load(a_local.addr(j))
-            yield isa.load(a_sid.addr(j))
-            yield isa.compute(2)
+            yield ("L", b_local + j)
+            yield ("L", b_sid + j)
+            yield ("C", 2)
             out[j] = offsets[sid[j]] + local[j]
-            yield isa.store(a_out.addr(j))
-        yield isa.barrier("s5")
+            yield ("S", b_out + j)
+        yield ("B", "s5")
 
     if check is not None:
         check.set_address_space(space)
@@ -450,9 +452,9 @@ def simulate_smp_list_ranking(
         p=p, config=config, tracer=tracer, check=check, hooks=hooks, tier=tier,
         session=session,
     )
-    eng.set_counter(a_ctr.base + 0, 0)
+    eng.set_counter(b_ctr + 0, 0)
     for proc in range(p):
         eng.spawn(program(proc))
     report = eng.run("smp.helman-jaja")
-    ranks = out - 1
+    ranks = np.array(out, dtype=np.int64) - 1
     return MTAListRankingSim(ranks=ranks, report=report, phase_reports=[report])

@@ -1035,8 +1035,7 @@ class SimKernel:
         model = self.model
         procs = self.procs
         dispatch = model.handlers(self)
-        dispatch_get = dispatch.get
-        dispatch[BARRIER] = None  # kernel-owned; keep models honest
+        dispatch[BARRIER] = self._interleaved_barrier  # kernel-owned
         lookahead = model.lookahead
         op_counts = self._op_counts
         if ctx is None:
@@ -1107,26 +1106,29 @@ class SimKernel:
             any_ready = False
             for proc in procs:
                 wake = proc.wake
+                ready = proc.ready
                 while wake and wake[0][0] <= cycle:
-                    _, _, t = heappop(wake)
+                    t = heappop(wake)[2]
                     t.state = READY
-                    proc.ready.append(t)
-                if not proc.ready:
+                    ready.append(t)
+                if not ready:
                     continue
                 any_ready = True
-                t = proc.ready.popleft()
+                t = ready.popleft()
                 # ---- issue one instruction from t at cycle ----
-                t.drain_completed(cycle)
-                if not t.outstanding:
+                out = t.outstanding  # drop memory ops completed by now
+                while out and out[0] <= cycle:
+                    out.popleft()
+                if not out:
                     t.lookahead_credit = lookahead
+                # cycles only advance, so every issue is the latest yet
                 if t.compute_remaining > 0:  # burst continuation: no dispatch
                     t.compute_remaining -= 1
                     t.issued += 1
                     proc.issued += 1
-                    if cycle > last_issue:
-                        last_issue = cycle
+                    last_issue = cycle
                     op_counts[COMPUTE] = op_counts.get(COMPUTE, 0) + 1
-                    proc.ready.append(t)
+                    ready.append(t)
                     continue
                 blk = t.fblock
                 if blk is not None:  # inside a VR run: ops are static data
@@ -1148,60 +1150,35 @@ class SimKernel:
                         proc.live -= 1
                         self._live -= 1
                         continue
-                    t.pending_value = None
+                    # almost every resume sends None: test it once, and
+                    # record a value at the index its resume is logged at
+                    if sent is not None:
+                        t.pending_value = None
+                        if rec_append is not None:
+                            rec_vals.append((len(rec), sent))
                     if rec_append is not None:
                         rec_append(t.tid)
-                        if sent is not None:
-                            rec_vals.append((len(rec) - 1, sent))
-                    while True:  # zero-cost pseudo-ops: no slot, no cycle
-                        tag0 = op[0]
-                        if tag0 == PHASE:
-                            snaps.append(
-                                (cycle, op[1], self._issued_total(), dict(op_counts))
-                            )
-                            if h_phase is not None:
-                                for fn in h_phase:
-                                    fn(t.tid, op[1])
-                        elif tag0 == RUN_BLOCK:
-                            b = op[1]
-                            if b.n:  # first block op issues in this slot
-                                if b.n > 1:
-                                    t.fblock = b
-                                    t.fbpos = 1
-                                    in_block += 1
-                                op = b.ops[0]
-                                break
-                        else:
-                            break
-                        try:
-                            op = t.gen.send(None)
-                        except StopIteration:
-                            if rec_append is not None:
-                                rec_append(t.tid)
-                            t.state = DONE
-                            proc.live -= 1
-                            self._live -= 1
-                            op = None
-                            break
-                        if rec_append is not None:
-                            rec_append(t.tid)
-                    if op is None:
-                        continue
-                tag = op[0]
+                    tag = op[0]
+                    if tag == PHASE or tag == RUN_BLOCK:
+                        op = self._pseudo_ops(proc, t, op, cycle, h_phase)
+                        if op is None:
+                            continue
+                        if t.fblock is not None:
+                            in_block += 1
                 if h_op is not None:
                     for fn in h_op:
                         fn(t.tid, op)
+                tag = op[0]
                 t.issued += 1
                 proc.issued += 1
-                if cycle > last_issue:
-                    last_issue = cycle
+                last_issue = cycle
                 op_counts[tag] = op_counts.get(tag, 0) + 1
-                if tag == BARRIER:
-                    self._interleaved_barrier(t, op[1], cycle)
-                    continue
-                handler = dispatch_get(tag)
-                if handler is None:
-                    raise SimulationError(f"unknown opcode {tag!r} from tid {t.tid}")
+                try:
+                    handler = dispatch[tag]
+                except KeyError:
+                    raise SimulationError(
+                        f"unknown opcode {tag!r} from tid {t.tid}"
+                    ) from None
                 handler(proc, t, op, cycle)
             if any_ready:
                 cycle += 1
@@ -1231,7 +1208,46 @@ class SimKernel:
             phases=self._close_slices(total_cycles),
         )
 
-    def _interleaved_barrier(self, t: SimThread, bid: str, cycle: int) -> None:
+    def _pseudo_ops(self, proc: _Proc, t: SimThread, op: tuple, cycle: int, h_phase):
+        """Consume zero-cost pseudo-ops (no slot, no cycle) starting at
+        ``op``: record ``PHASE`` marks and bind a ``RUN_BLOCK``, resuming
+        the generator until a real op turns up.  Returns that op (a
+        bound block's first op, which issues in this slot), or None once
+        the generator finished."""
+        rec = self._rec_tids
+        while True:
+            tag = op[0]
+            if tag == PHASE:
+                self._phase_snaps.append(
+                    (cycle, op[1], self._issued_total(), dict(self._op_counts))
+                )
+                if h_phase is not None:
+                    for fn in h_phase:
+                        fn(t.tid, op[1])
+            elif tag == RUN_BLOCK:
+                b = op[1]
+                if b.n:
+                    if b.n > 1:
+                        t.fblock = b
+                        t.fbpos = 1
+                    return b.ops[0]
+            else:
+                return op
+            try:
+                op = t.gen.send(None)
+            except StopIteration:
+                if rec is not None:
+                    rec.append(t.tid)
+                t.state = DONE
+                proc.live -= 1
+                self._live -= 1
+                return None
+            if rec is not None:
+                rec.append(t.tid)
+
+    def _interleaved_barrier(self, proc: _Proc, t: SimThread, op: tuple, cycle: int) -> None:
+        """The kernel's ``BARRIER`` entry in the interleaved dispatch table."""
+        bid = op[1]
         b = self._barriers.get(bid)
         if b is None:
             if self.model.implicit_barriers:

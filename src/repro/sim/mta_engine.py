@@ -37,7 +37,9 @@ through the kernel's :class:`~repro.sim.hooks.HookBus`; see
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
+from heapq import heappush
 
 from ..errors import ConfigurationError, SimulationError
 from .isa import (
@@ -51,7 +53,7 @@ from .isa import (
     SYNC_STORE_FULL,
 )
 from .kernel import INTERLEAVED, Engine, MachineModel, SimKernel
-from .thread import WAIT_EMPTY, WAIT_FULL
+from .thread import BLOCKED, WAIT_EMPTY, WAIT_FULL
 
 __all__ = ["MTAEngine", "MTAMachine"]
 
@@ -83,6 +85,16 @@ class MTAMachine(MachineModel):
         clock_hz: float = 220e6,
         n_banks: int = 0,
     ):
+        for name, value in (
+            ("streams_per_proc", streams_per_proc),
+            ("mem_latency", mem_latency),
+            ("lookahead", lookahead),
+            ("max_outstanding", max_outstanding),
+            ("barrier_latency", barrier_latency),
+            ("n_banks", n_banks),
+        ):  # cycle counts and capacities of an integer-cycle machine
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if p < 1:
             raise ConfigurationError("p must be >= 1")
         if streams_per_proc < 1:
@@ -146,14 +158,11 @@ class MTAMachine(MachineModel):
         self.fe_wait_cycles += max(0, wait)
 
     def _mem_done(self, addr: int, cycle: int) -> int:
-        """Completion cycle of a memory reference issued now.
-
-        With bank modeling on, the hashed bank serving ``addr`` admits
-        one request per cycle, so colliding references queue.
+        """Completion cycle of a memory reference issued now on banked
+        memory: the hashed bank serving ``addr`` admits one request per
+        cycle, so colliding references queue.
         """
         earliest = cycle + self.mem_latency
-        if not self.n_banks:
-            return earliest
         from ..arch.memory import bank_of
 
         bank = int(bank_of(addr, self.n_banks))
@@ -223,11 +232,10 @@ class MTAMachine(MachineModel):
         full = self._full
         wait_full = self._wait_full
         wait_empty = self._wait_empty
-        if self.n_banks:
-            mem_done = self._mem_done
-        else:
-            def mem_done(addr, cycle):
-                return cycle + mem_latency
+        # Uniform memory (no banks) completes every reference at
+        # cycle + mem_latency; only banked memory needs _mem_done.
+        banked = bool(self.n_banks)
+        mem_done = self._mem_done
 
         def h_compute(proc, t, op, cycle):
             k = op[1]
@@ -240,8 +248,10 @@ class MTAMachine(MachineModel):
                     fn("C", cycle, cycle + k, t.proc, t.tid, None)
             proc.ready.append(t)
 
+        # L, S and LD park a stream on its processor's wake heap
+        # themselves: the same three steps as kernel.block_until.
         def h_mem(proc, t, op, cycle):
-            done_at = mem_done(op[1], cycle)
+            done_at = mem_done(op[1], cycle) if banked else cycle + mem_latency
             h_span = kernel._h_span
             if h_span is not None:
                 for fn in h_span:
@@ -249,20 +259,26 @@ class MTAMachine(MachineModel):
             out = t.outstanding
             out.append(done_at)
             if len(out) > max_outstanding:
-                block_until(t, out.popleft())
+                when = out.popleft()
             elif t.lookahead_credit > 0:
                 t.lookahead_credit -= 1
                 proc.ready.append(t)
+                return
             else:
-                block_until(t, out[0])
+                when = out[0]
+            t.state = BLOCKED
+            t.wake_at = when
+            heappush(proc.wake, (when, t.tid, t))
 
         def h_load_dep(proc, t, op, cycle):
-            done_at = mem_done(op[1], cycle)
+            done_at = mem_done(op[1], cycle) if banked else cycle + mem_latency
             h_span = kernel._h_span
             if h_span is not None:
                 for fn in h_span:
                     fn(LOAD_DEP, cycle, done_at, t.proc, t.tid, {"addr": op[1]})
-            block_until(t, done_at)
+            t.state = BLOCKED
+            t.wake_at = done_at
+            heappush(proc.wake, (done_at, t.tid, t))
 
         def h_fetch_add(proc, t, op, cycle):
             addr = op[1]

@@ -17,7 +17,7 @@ WAIT_BARRIER = "wait-barrier"
 DONE = "done"
 
 
-@dataclass
+@dataclass(slots=True)
 class SimThread:
     """One simulated thread: a generator plus its scheduling state.
 
@@ -114,12 +114,6 @@ class SimThread:
         self.time = state["time"]
         self.wait_key = state["wait_key"]
         self.fbpos = state["fbpos"]
-
-    def drain_completed(self, now: int) -> None:
-        """Drop outstanding memory ops that have completed by cycle ``now``."""
-        out = self.outstanding
-        while out and out[0] <= now:
-            out.popleft()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -247,6 +247,10 @@ class TestModelConfigValues:
             ("cluster-model", {"rtt_us": -1}),
             ("cluster-model", {"cpi": float("nan")}),
             ("cluster-model", {"max_p": 0}),
+            ("mta-model", {"streams_per_proc": 2.5}),
+            ("mta-model", {"max_p": 2.5}),
+            ("mta-model", {"max_outstanding": 8.0}),
+            ("cluster-model", {"max_p": 2.5}),
         ],
         ids=str,
     )
@@ -257,6 +261,47 @@ class TestModelConfigValues:
                   backend_options={"config": override})
         with pytest.raises(ConfigurationError, match=next(iter(override))):
             run_jobs([job], workers=1, cache=False)
+
+
+class TestIntegerSettings:
+    """Integer workload options and engine parameters reject bools and
+    non-integers with a ``ConfigurationError`` naming the setting,
+    instead of running a machine with half a stream or a
+    fractional-cycle latency.  Config fields are covered with the other
+    malformed config values."""
+
+    @pytest.mark.parametrize("value", [2.5, True, "2"], ids=repr)
+    def test_workload_option(self, value):
+        from repro.core.runner import Job, run_jobs
+
+        job = Job(Workload("rank", 2, 0, {"n": 256}, {"streams_per_proc": value}),
+                  "mta-engine")
+        with pytest.raises(ConfigurationError, match="streams_per_proc=.* is not an integer"):
+            run_jobs([job], workers=1, cache=False)
+
+    def test_int_value_keeps_integers(self):
+        import numpy as np
+
+        from repro.backends.base import int_value
+
+        assert int_value({"k": np.int64(3)}, "k") == 3
+        assert type(int_value({"k": np.int64(3)}, "k")) is int
+        assert int_value({}, "k", 7) == 7
+
+    @pytest.mark.parametrize("backend", ["mta-engine", "mta-next-engine"])
+    @pytest.mark.parametrize(
+        "param",
+        ["streams_per_proc", "mem_latency", "lookahead", "max_outstanding",
+         "barrier_latency", "n_banks"],
+    )
+    @pytest.mark.parametrize("value", [2.5, True], ids=repr)
+    def test_engine_machine_parameter(self, backend, param, value):
+        from repro.core.runner import Job, run_jobs
+
+        w = Workload("rank", 2, 0, {"n": 256},
+                     {"streams_per_proc": 8, "engine_kwargs": {param: value}})
+        with pytest.raises(ConfigurationError, match=f"{param} must be an integer"):
+            run_jobs([Job(w, backend)], workers=1, cache=False)
 
 
 class TestSMPConfigOverrides:
@@ -298,6 +343,7 @@ class TestSMPConfigOverrides:
             {"l1": 5},
             {"l2": {"size_words": 100}},
             {"l2": {"no_such_field": 1}},
+            {"max_p": 3.7},
         ],
         ids=canonical_json,
     )

@@ -177,6 +177,15 @@ class TestCommands:
         ),
         pytest.param(["--workload", "cc", "--opt", "max_iter=abc"], id="opt-max-iter-smp-model"),
         pytest.param(["--workload", "cc", "--param", "m=-3"], id="param-m-negative"),
+        pytest.param(
+            ["--workload", "rank", "--backend", "mta-engine", "--opt", "streams_per_proc=2.5"],
+            id="opt-streams-fractional",
+        ),
+        pytest.param(
+            ["--workload", "rank", "--backend", "mta-engine", "--opt", "streams_per_proc=true"],
+            id="opt-streams-bool",
+        ),
+        pytest.param(["--workload", "rank", "--param", "n=64.0"], id="param-n-float"),
     ],
 )
 def test_malformed_workload_values_are_config_errors(argv, capsys):

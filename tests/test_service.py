@@ -195,6 +195,15 @@ class TestBasics:
         assert final["error"]["code"] == "execution_error"
         assert "barrier_us" in final["error"]["message"]
 
+    def test_fractional_integer_setting_is_execution_error(self, harness):
+        c = harness().client()
+        body = rank_body(backend="mta-model",
+                         backend_options={"config": {"streams_per_proc": 2.5}})
+        final = c.wait(c.submit(body)["id"], timeout=30)
+        assert final["state"] == "failed"
+        assert final["error"]["code"] == "execution_error"
+        assert "streams_per_proc must be an integer" in final["error"]["message"]
+
     def test_unknown_backend_option_is_execution_error(self, harness):
         c = harness().client()
         body = rank_body(backend="mta-engine", backend_options={"config": {"mem_latency": 5}})
