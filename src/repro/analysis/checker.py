@@ -1,9 +1,13 @@
 """The concurrency checker: the object engines report events to.
 
-A :class:`ConcurrencyChecker` is handed to an engine (``check=`` on
-:class:`~repro.sim.mta_engine.MTAEngine` / :class:`~repro.sim.smp_engine.SMPEngine`
-or on the kernel entry points in ``lists.programs`` / ``graphs.programs``)
-and observes the exact op stream the engine executes.  It runs two
+A :class:`ConcurrencyChecker` reaches an engine as
+``hooks=(CheckerHook(checker),)`` (on an :class:`~repro.sim.kernel.Engine`,
+the kernel entry points in ``lists.programs`` / ``graphs.programs``, or
+an engine backend's ``execute``) and observes the exact op stream the
+engine executes; programs declare their address space and benign-race
+regions to the engine, which the hook forwards to
+:meth:`~ConcurrencyChecker.set_address_space` and
+:meth:`~ConcurrencyChecker.allow_racy`.  It runs two
 cooperating passes over that stream:
 
 1. the dynamic happens-before race detector (:mod:`repro.analysis.races`),
@@ -113,8 +117,12 @@ class ConcurrencyChecker:
         self._bounds_lo = [lo for lo, _, _ in intervals]
 
     def allow_racy(self, lo: int, hi: int, reason: str) -> None:
-        """Mark ``[lo, hi)`` as intentionally racy (suppressed unless strict)."""
-        self._allowed.append((int(lo), int(hi), reason))
+        """Mark ``[lo, hi)`` as intentionally racy (suppressed unless
+        strict); a program that builds one engine per phase declares its
+        regions again for each, so a repeat is a no-op."""
+        region = (int(lo), int(hi), reason)
+        if region not in self._allowed:
+            self._allowed.append(region)
 
     # -- engine init hooks ---------------------------------------------------
 

@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 from ..backends.base import Workload
 from ..backends.engine import create_engine
 from ..errors import DeadlockError, SimulationError
+from ..sim.hooks import CheckerHook
 from .checker import ConcurrencyChecker
 from .findings import AnalysisReport
 
@@ -41,7 +42,7 @@ def analyze_workload(
     )
     handle = backend.prepare(workload)
     try:
-        backend.execute(handle, check=checker)
+        backend.execute(handle, hooks=(CheckerHook(checker),))
     except DeadlockError as exc:
         # The engine already reported the blocked inventory via end_run;
         # only synthesize a finding if that somehow produced nothing.

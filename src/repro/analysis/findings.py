@@ -160,17 +160,6 @@ class AnalysisReport:
     def by_check(self, check: str) -> List[Finding]:
         return [f for f in self.findings if f.check == check]
 
-    def summary_dict(self) -> Dict[str, Any]:
-        counts: Dict[str, int] = {}
-        for f in self.findings:
-            counts[f.check] = counts.get(f.check, 0) + 1
-        return {
-            "errors": len(self.errors),
-            "warnings": len(self.warnings),
-            "by_check": dict(sorted(counts.items())),
-            "stats": self.stats,
-        }
-
     def render(self) -> str:
         lines = [f.render() for f in self.findings]
         lines.append(

@@ -14,7 +14,7 @@ all) by ad-hoc runtime tests:
   (``repro.cli``) is held to the same rule: every command runs kernels
   through the :mod:`repro.backends` registry, so there is one execution
   path per concern.
-* Hooks speak only the 12 declared :data:`~repro.sim.hooks.HOOK_EVENTS`.
+* Hooks speak only the 13 declared :data:`~repro.sim.hooks.HOOK_EVENTS`.
   A typo'd event name (``on_barier_release``) fails silently — the bus
   just never calls it — so both sides are checked: string event names
   passed to ``emit``/``listeners``, and public methods of ``*Hook``

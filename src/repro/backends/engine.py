@@ -19,17 +19,14 @@ Workload options consumed here (all optional):
     (``mem_latency``, ``lookahead``, ``max_outstanding``, …).
 ``s``
     SMP Helman–JáJá sublist-count override.
-``check``
-    Truthy: run the program under a fresh
-    :class:`~repro.analysis.ConcurrencyChecker` and attach its summary
-    as ``detail["analysis"]`` (``"strict"`` enables strict mode).  An
-    explicit checker passed to :meth:`execute` takes precedence.
 ``tier``
     Execution tier for the run (``"auto"``/``"interpreted"``/
-    ``"vector"``; see ``docs/SIMULATION.md``).  Any active concurrency
-    checker — explicit or option-driven — forces ``"interpreted"``:
-    analysis observes every op, so ``repro analyze`` always runs at
-    full per-op fidelity regardless of the requested tier.
+    ``"vector"``; see ``docs/SIMULATION.md``).  A per-op hook passed to
+    :meth:`execute` — a :class:`~repro.sim.hooks.CheckerHook`, an
+    op-level :class:`~repro.sim.hooks.TracerHook` — forces
+    ``"interpreted"``: it observes every op, so ``repro analyze`` and
+    ``repro trace --level op`` always run at full per-op fidelity
+    regardless of the requested tier.
 ``steps``, ``mem_latency``, ``lookahead``
     ``chase`` workload: instructions per chaser and engine latency
     parameters for the saturation curve.
@@ -41,6 +38,10 @@ Workload options consumed here (all optional):
     ``fresh`` (truthy: ignore existing artifacts instead of
     auto-resuming from the newest).  The sweep runner injects this from
     its ``checkpoint=`` argument; see ``docs/SIMULATION.md``.
+
+Instrumentation reaches a run only as :meth:`execute`'s ``hooks``; the
+retired ``check`` option is refused (concurrency analysis is ``repro
+analyze``).
 
 Backend options: ``config`` — dict of :class:`~repro.core.smp_machine.SMPConfig`
 field overrides for the SMP engine, nested ones included, merged as for
@@ -73,21 +74,20 @@ class SMPEngineBackend(Backend):
 
         self.config = override_config(SUN_E4500, config, "SMP engine config")
 
-    def execute(self, handle: RunHandle, check=None, hooks=()):
-        """Run the prepared workload; ``hooks`` are extra
+    def execute(self, handle: RunHandle, hooks=()):
+        """Run the prepared workload; ``hooks`` are the
         :class:`~repro.sim.hooks.HookBus` listeners for its engine."""
         workload = handle.workload
         opt = workload.options
         _reject_retired_options(workload)
-        check, attach_summary = _resolve_check(check, workload)
-        tier = _resolve_tier(workload, check)
-        session = _resolve_session(workload, self.name, check)
+        tier = _resolve_tier(workload, hooks)
+        session = _resolve_session(workload, self.name, hooks)
         if workload.kind == "rank":
             from ..lists.programs import simulate_smp_list_ranking
 
             sim = simulate_smp_list_ranking(
                 handle.data, p=workload.p, s=int_value(opt, "s", None),
-                rng=workload.seed, config=self.config, check=check, hooks=hooks,
+                rng=workload.seed, config=self.config, hooks=hooks,
                 tier=tier, session=session,
             )
         else:
@@ -96,11 +96,11 @@ class SMPEngineBackend(Backend):
             sim = simulate_smp_cc(
                 handle.data, p=workload.p,
                 max_iter=int_value(opt, "max_iter", 64),
-                config=self.config, check=check, hooks=hooks, tier=tier,
+                config=self.config, hooks=hooks, tier=tier,
                 session=session, variant=opt.get("variant"),
             )
         return _finish(
-            self.name, handle, sim.summary, session, check, attach_summary,
+            self.name, handle, sim.summary, session,
             iterations=getattr(sim, "iterations", None),
         )
 
@@ -118,25 +118,30 @@ class MTAEngineBackend(Backend):
         self.engine = engine
         self.description = description
 
-    def execute(self, handle: RunHandle, check=None, hooks=()):
-        """Run the prepared workload; ``hooks`` are extra
+    def execute(self, handle: RunHandle, hooks=()):
+        """Run the prepared workload; ``hooks`` are the
         :class:`~repro.sim.hooks.HookBus` listeners for every engine
         the program constructs."""
         workload = handle.workload
         opt = workload.options
         _reject_retired_options(workload)
-        check, attach_summary = _resolve_check(check, workload)
         if workload.kind == "chase":
-            return self._execute_chase(handle, check, attach_summary, hooks)
+            return self._execute_chase(handle, hooks)
         engine_kwargs = opt.get("engine_kwargs")
         if not isinstance(engine_kwargs, (Mapping, type(None))):
             raise ConfigurationError(
                 "engine_kwargs must be a mapping of engine parameters,"
                 f" got {type(engine_kwargs).__name__} {engine_kwargs!r}"
             )
-        engine_kwargs = dict(engine_kwargs or {}, hooks=hooks)
-        engine_kwargs.setdefault("tier", _resolve_tier(workload, check))
-        session = _resolve_session(workload, self.name, check)
+        engine_kwargs = dict(engine_kwargs or {})
+        taken = sorted({"p", "hooks", "session"} & engine_kwargs.keys())
+        if taken:
+            raise ConfigurationError(
+                f"engine_kwargs cannot set {', '.join(taken)}: the workload's p,"
+                " the caller's hooks and the checkpoint option decide them"
+            )
+        engine_kwargs.setdefault("tier", _resolve_tier(workload, hooks))
+        session = _resolve_session(workload, self.name, hooks)
         if workload.kind == "rank":
             from ..lists.programs import simulate_mta_list_ranking
 
@@ -147,7 +152,7 @@ class MTAEngineBackend(Backend):
                 nodes_per_walk=int_value(opt, "nodes_per_walk", 10),
                 dynamic=bool(opt.get("dynamic", True)),
                 engine_kwargs=engine_kwargs,
-                check=check,
+                hooks=hooks,
                 engine=self.engine,
                 session=session,
             )
@@ -161,16 +166,16 @@ class MTAEngineBackend(Backend):
                 edges_per_chunk=int_value(opt, "edges_per_chunk", 16),
                 max_iter=int_value(opt, "max_iter", 64),
                 engine_kwargs=engine_kwargs,
-                check=check,
+                hooks=hooks,
                 engine=self.engine,
                 session=session,
             )
         return _finish(
-            self.name, handle, sim.summary, session, check, attach_summary,
+            self.name, handle, sim.summary, session,
             iterations=getattr(sim, "iterations", None),
         )
 
-    def _execute_chase(self, handle: RunHandle, check=None, attach_summary=False, hooks=()):
+    def _execute_chase(self, handle: RunHandle, hooks=()):
         """The latency-hiding saturation microbenchmark: ``chasers``
         streams each alternating one compute with two dependent loads —
         the access pattern of a list walk."""
@@ -188,15 +193,14 @@ class MTAEngineBackend(Backend):
                 yield isa.load_dep(i)
                 yield isa.load_dep(100_000 + i)
 
-        session = _resolve_session(workload, self.name, check)
+        session = _resolve_session(workload, self.name, hooks)
         eng = self.engine(
             p=workload.p,
             streams_per_proc=int_value(opt, "streams_per_proc", 128),
             mem_latency=int_value(opt, "mem_latency", 100),
             lookahead=int_value(opt, "lookahead", 2),
-            check=check,
             hooks=hooks,
-            tier=_resolve_tier(workload, check),
+            tier=_resolve_tier(workload, hooks),
             session=session,
         )
         for _ in range(chasers):
@@ -204,22 +208,19 @@ class MTAEngineBackend(Backend):
         report = eng.run(name="chase")
         summary = RunSummary.from_report(report, machine=self.name)
         summary.name = "chase"
-        return _finish(self.name, handle, summary, session, check, attach_summary)
+        return _finish(self.name, handle, summary, session)
 
 
-def _finish(backend_name, handle, summary, session, check, attach_summary, iterations=None):
+def _finish(backend_name, handle, summary, session, iterations=None):
     """The tail every engine run shares: note a resume, then stamp input
-    metadata, backend, iterations and (option-driven checkers) the
-    analysis summary into ``summary.detail``.  Callers read a
-    ``simulate_*`` result's ``summary`` property once: each access
-    builds a new :class:`~repro.obs.RunSummary`."""
+    metadata, backend and iterations into ``summary.detail``.  Callers
+    read a ``simulate_*`` result's ``summary`` property once: each
+    access builds a new :class:`~repro.obs.RunSummary`."""
     _note_resume(session)
     summary.detail.update(handle.meta)
     summary.detail["backend"] = backend_name
     if iterations is not None:
         summary.detail["iterations"] = int(iterations)
-    if attach_summary:
-        summary.detail["analysis"] = check.report().summary_dict()
     return summary
 
 
@@ -266,25 +267,33 @@ def register_machine(name: str, engine, *, description: str = "", xval: bool = F
     )
 
 
-#: Workload options of the sharded runtime, which no longer exists.
-_RETIRED_OPTIONS = ("shards", "shard_workers", "shard_executor", "remote_latency")
+_SHARDS_GONE = (
+    "the sharded runtime was removed and every engine run executes on one kernel"
+)
+#: Retired workload options, each with the reason it is refused.
+_RETIRED_OPTIONS = {
+    "shards": _SHARDS_GONE,
+    "shard_workers": _SHARDS_GONE,
+    "shard_executor": _SHARDS_GONE,
+    "remote_latency": _SHARDS_GONE,
+    "check": "concurrency analysis runs through `repro analyze`",
+}
 
 
 def _reject_retired_options(workload) -> None:
-    """Refuse the sharded runtime's options instead of ignoring them:
-    an ignored option would run unsharded under a new cache key, so an
-    old sweep spec or service client would get a different answer
-    without notice."""
+    """Refuse retired options instead of ignoring them: an ignored
+    option would run under a new cache key without doing what it once
+    did, so an old sweep spec or service client would get a different
+    answer without notice."""
     retired = [k for k in _RETIRED_OPTIONS if k in workload.options]
     if retired:
+        reasons = "; ".join(dict.fromkeys(_RETIRED_OPTIONS[k] for k in retired))
         raise ConfigurationError(
-            f"workload option(s) {', '.join(retired)} are no longer"
-            " accepted: the sharded runtime was removed and every engine"
-            " run executes on one kernel"
+            f"workload option(s) {', '.join(retired)} are no longer accepted: {reasons}"
         )
 
 
-def _resolve_session(workload, backend_name: str, check=None):
+def _resolve_session(workload, backend_name: str, hooks=()):
     """Build a :class:`~repro.sim.checkpoint.CheckpointSession` from the
     workload's ``checkpoint`` option (None when the option is absent).
 
@@ -296,11 +305,13 @@ def _resolve_session(workload, backend_name: str, check=None):
     spec = workload.option("checkpoint")
     if not spec:
         return None
-    if check is not None:
+    from ..sim.hooks import HookBus
+
+    if HookBus(hooks).per_op:
         raise ConfigurationError(
-            "checkpointing is incompatible with concurrency analysis:"
-            " replayed runs re-execute without per-op hook events, so a"
-            " checker would see a partial stream"
+            "checkpointing is incompatible with concurrency analysis and"
+            " op-level tracing: replayed runs re-execute without per-op hook"
+            " events, so a per-op hook would see a partial stream"
         )
     import hashlib
     import sys
@@ -358,39 +369,22 @@ def _note_resume(session) -> None:
         )
 
 
-def _resolve_check(check, workload):
-    """Honor an explicit checker or the workload's ``check`` option.
-
-    Returns ``(checker, attach_summary)``: the summary is only attached
-    for option-driven checkers — an explicit caller (``repro analyze``)
-    owns the report itself.
-    """
-    if check is not None:
-        return check, False
-    opt = workload.option("check")
-    if not opt:
-        return None, False
-    from ..analysis import ConcurrencyChecker
-
-    return ConcurrencyChecker(strict=opt == "strict", program=workload.kind), True
-
-
-def _resolve_tier(workload, check) -> str:
+def _resolve_tier(workload, hooks) -> str:
     """The execution tier for a workload run (see module docstring).
 
-    An active concurrency checker wins over the requested tier: the
-    checker subscribes to per-op hook events, which the vector tier
-    cannot deliver, so checked runs always interpret.  ``repro analyze
-    --all`` relies on this (tests/test_tier_fallback.py pins it).
+    A per-op hook wins over the requested tier: it subscribes to events
+    the vector tier cannot deliver, so checked and op-traced runs always
+    interpret.  ``repro analyze --all`` relies on this
+    (tests/test_tier_fallback.py pins it).
     """
     tier = str(workload.option("tier") or "auto")
-    from ..sim import TIERS
+    from ..sim import TIERS, HookBus
 
     if tier not in TIERS:
         raise ConfigurationError(
             f"unknown tier {tier!r}; expected one of {', '.join(TIERS)}"
         )
-    if check is not None:
+    if HookBus(hooks).per_op:
         return "interpreted"
     return tier
 

@@ -679,15 +679,17 @@ def _cmd_submit(args) -> int:
 
 def _cmd_cache(args) -> int:
     from .core.cache import SweepCache
+    from .sim.checkpoint import CheckpointStore, default_checkpoint_root
 
     cache = SweepCache(args.cache_dir) if args.cache_dir else SweepCache()
+    store = CheckpointStore(default_checkpoint_root(cache.root))
     rows = cache.entries()
     total = sum(size for _, _, size in rows)
     print(f"cache at {cache.root}: {len(rows)} record(s), {total} bytes")
-    ckpts = cache.checkpoint_entries()
+    ckpts = store.files()
     if ckpts:
         print(
-            f"checkpoints at {cache.checkpoint_root()}: {len(ckpts)}"
+            f"checkpoints at {store.root}: {len(ckpts)}"
             f" artifact(s), {sum(s for _, _, s in ckpts)} bytes"
         )
     ck_caps = (args.max_checkpoints, args.max_checkpoint_bytes)
@@ -698,10 +700,7 @@ def _cmd_cache(args) -> int:
         evicted, freed = cache.prune(max_entries=max_entries, max_bytes=max_bytes)
         print(f"pruned {evicted} record(s), freed {freed} bytes")
         if ck_caps != (None, None):
-            evicted, freed = cache.prune_checkpoints(
-                max_entries=args.max_checkpoints,
-                max_bytes=args.max_checkpoint_bytes,
-            )
+            evicted, freed = store.prune(args.max_checkpoints, args.max_checkpoint_bytes)
             print(f"pruned {evicted} checkpoint artifact(s), freed {freed} bytes")
     elif args.max_entries is not None or args.max_bytes is not None or ck_caps != (
         None,

@@ -39,7 +39,7 @@ from pathlib import Path
 
 from ..backends.base import canonical_json
 
-__all__ = ["SweepCache", "code_version", "default_cache_root"]
+__all__ = ["SweepCache", "code_version", "default_cache_root", "evict_lru", "stat_files"]
 
 _code_version_memo: str | None = None
 
@@ -63,6 +63,52 @@ def default_cache_root() -> Path:
     """``$REPRO_CACHE_DIR`` or ``.repro-cache`` in the working directory."""
     env = os.environ.get("REPRO_CACHE_DIR")  # allow_nondet: cache location only, never results
     return Path(env) if env else Path(".repro-cache")
+
+
+def stat_files(paths) -> list[tuple[Path, float, int]]:
+    """``(path, mtime, size)`` of each of ``paths``, oldest first; files
+    that vanish meanwhile (concurrently evicted) are skipped."""
+    rows = []
+    for path in paths:
+        try:
+            st = path.stat()
+        except OSError:
+            continue
+        rows.append((path, st.st_mtime, st.st_size))
+    rows.sort(key=lambda row: (row[1], row[0].name))
+    return rows
+
+
+def evict_lru(
+    rows: list[tuple[Path, float, int]],
+    max_entries: int | None = None,
+    max_bytes: int | None = None,
+) -> tuple[int, int]:
+    """Delete the oldest of ``rows`` (as :func:`stat_files` returns them)
+    until at most ``max_entries`` files of at most ``max_bytes`` bytes
+    remain; ``None`` leaves a cap off.  Returns ``(evicted, freed)``.
+
+    The one eviction loop behind both result records
+    (:meth:`SweepCache.prune`) and checkpoint artifacts
+    (:meth:`repro.sim.checkpoint.CheckpointStore.prune`).
+    """
+    if max_entries is None and max_bytes is None:
+        return (0, 0)
+    total = sum(size for _, _, size in rows)
+    evicted = freed = 0
+    for path, _, size in rows:
+        over_count = max_entries is not None and len(rows) - evicted > max_entries
+        over_bytes = max_bytes is not None and total > max_bytes
+        if not over_count and not over_bytes:
+            break
+        try:
+            os.unlink(path)
+        except OSError:
+            continue  # lost a race with another process — already gone
+        evicted += 1
+        freed += size
+        total -= size
+    return (evicted, freed)
 
 
 class SweepCache:
@@ -174,15 +220,7 @@ class SweepCache:
 
     def entries(self) -> list[tuple[Path, float, int]]:
         """Every record as ``(path, mtime, size)``, oldest first."""
-        rows = []
-        for path in self.root.glob("rows/*/*.json"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue  # concurrently evicted
-            rows.append((path, st.st_mtime, st.st_size))
-        rows.sort(key=lambda row: (row[1], row[0].name))
-        return rows
+        return stat_files(self.root.glob("rows/*/*.json"))
 
     def size_bytes(self) -> int:
         """Total bytes of stored records."""
@@ -197,83 +235,11 @@ class SweepCache:
         (so ``repro cache --prune --max-entries 100`` works on a cache
         constructed without caps).  Returns ``(evicted, freed_bytes)``.
         """
-        if max_entries is None:
-            max_entries = self.max_entries
-        if max_bytes is None:
-            max_bytes = self.max_bytes
-        if max_entries is None and max_bytes is None:
-            return (0, 0)
-        rows = self.entries()
-        total = sum(size for _, _, size in rows)
-        evicted = freed = 0
-        for path, _, size in rows:
-            over_count = max_entries is not None and len(rows) - evicted > max_entries
-            over_bytes = max_bytes is not None and total > max_bytes
-            if not over_count and not over_bytes:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue  # lost a race with another process — already gone
-            evicted += 1
-            freed += size
-            total -= size
-        self.evictions += evicted
-        return (evicted, freed)
-
-    # -- checkpoint artifacts ----------------------------------------------------
-    #
-    # Checkpoint artifacts (repro.sim.checkpoint) live beside the rows,
-    # by default under <root>/checkpoints/<job>/<cid>.ckpt.  Pruning is
-    # file-level (mtime LRU, like the rows) so the cache layer never
-    # imports the simulator.
-
-    def checkpoint_root(self) -> Path:
-        """Where this cache's checkpoint artifacts live
-        (``$REPRO_CHECKPOINT_DIR`` wins, matching
-        :func:`repro.sim.checkpoint.default_checkpoint_root`)."""
-        env = os.environ.get("REPRO_CHECKPOINT_DIR")  # allow_nondet: artifact location only, never results
-        return Path(env) if env else self.root / "checkpoints"
-
-    def checkpoint_entries(self) -> list[tuple[Path, float, int]]:
-        """Every checkpoint artifact as ``(path, mtime, size)``, oldest
-        first."""
-        rows = []
-        for path in self.checkpoint_root().glob("*/*.ckpt"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            rows.append((path, st.st_mtime, st.st_size))
-        rows.sort(key=lambda row: (row[1], row[0].name))
-        return rows
-
-    def checkpoint_size_bytes(self) -> int:
-        return sum(size for _, _, size in self.checkpoint_entries())
-
-    def prune_checkpoints(
-        self, max_entries: int | None = None, max_bytes: int | None = None
-    ) -> tuple[int, int]:
-        """Evict oldest checkpoint artifacts until the store fits the
-        caps; counts into ``evictions``.  Returns ``(evicted, freed)``.
-        """
-        if max_entries is None and max_bytes is None:
-            return (0, 0)
-        rows = self.checkpoint_entries()
-        total = sum(size for _, _, size in rows)
-        evicted = freed = 0
-        for path, _, size in rows:
-            over_count = max_entries is not None and len(rows) - evicted > max_entries
-            over_bytes = max_bytes is not None and total > max_bytes
-            if not over_count and not over_bytes:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            evicted += 1
-            freed += size
-            total -= size
+        evicted, freed = evict_lru(
+            self.entries(),
+            self.max_entries if max_entries is None else max_entries,
+            self.max_bytes if max_bytes is None else max_bytes,
+        )
         self.evictions += evicted
         return (evicted, freed)
 

@@ -59,8 +59,6 @@ class PhasePrediction:
         Machine-specific breakdown copied from the :class:`StepTime`.
     """
 
-    STATE_VERSION = 1
-
     name: str
     cycles: float
     busy_cycles: float
@@ -69,31 +67,6 @@ class PhasePrediction:
     b: int
     branch_cycles: float = 0.0
     detail: dict = field(default_factory=dict)
-
-    def to_state(self) -> dict:
-        return {
-            "name": self.name,
-            "cycles": self.cycles,
-            "busy_cycles": self.busy_cycles,
-            "t_m": self.t_m,
-            "t_c": self.t_c,
-            "b": self.b,
-            "branch_cycles": self.branch_cycles,
-            "detail": dict(self.detail),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "PhasePrediction":
-        return cls(
-            name=state["name"],
-            cycles=state["cycles"],
-            busy_cycles=state["busy_cycles"],
-            t_m=state["t_m"],
-            t_c=state["t_c"],
-            b=state["b"],
-            branch_cycles=state["branch_cycles"],
-            detail=dict(state["detail"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -245,9 +245,11 @@ def run_jobs(
         Optional checkpoint spec ``{"every": N, "dir": path, "resume":
         ref}`` injected into each job's workload as the ``checkpoint``
         option (keyed by the job's cache key, so a resubmitted sweep
-        resumes each job's newest artifact).  Cache keys and cached
-        records are unaffected — a resumed job is byte-identical to an
-        uninterrupted one.  With serial execution the ``cancel`` hook is
+        resumes each job's newest artifact).  ``dir`` defaults to
+        ``checkpoints/`` under the cache's root (``$REPRO_CHECKPOINT_DIR``
+        wins), where ``repro cache`` lists and prunes the artifacts.
+        Cache keys and cached records are unaffected — a resumed job is
+        byte-identical to an uninterrupted one.  With serial execution the ``cancel`` hook is
         additionally polled *inside* runs at snapshot boundaries, so a
         drain checkpoints the in-flight job instead of losing it.
     """
@@ -258,12 +260,17 @@ def run_jobs(
         cache = None
     if workers is not None and workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
+    if checkpoint is not None:
+        from ..sim.checkpoint import default_checkpoint_root
+
+        ckpt_dir = str(default_checkpoint_root(cache.root if cache is not None else None))
 
     def _payload(i: int) -> dict:
         payload = jobs[i].payload()
         if checkpoint is not None:
             spec = {k: v for k, v in dict(checkpoint).items() if not k.startswith("_")}
             spec.setdefault("key", jobs[i].key())
+            spec.setdefault("dir", ckpt_dir)
             options = dict(payload["workload"]["options"])
             options["checkpoint"] = spec
             payload["workload"] = dict(payload["workload"], options=options)

@@ -42,6 +42,16 @@ from .types import normalize_labels
 
 __all__ = ["CCSim", "simulate_mta_cc", "simulate_smp_cc"]
 
+#: Concurrent grafts d[dv] = du (different winners racing on one root)
+#: and the shared did-anything-graft flag are the textbook benign races
+#: of Shiloach--Vishkin: any winner advances the algorithm.  Declared
+#: with each program's memory so default analysis stays clean while
+#: ``--strict`` still surfaces them.
+SV_BENIGN_RACES = {
+    "D": "SV concurrent grafts/shortcuts are algorithmically benign",
+    "graft-flag": "graft flag is a monotonic any-write-wins broadcast",
+}
+
 
 @dataclass
 class CCSim:
@@ -83,8 +93,7 @@ def simulate_mta_cc(
     edges_per_chunk: int = 16,
     max_iter: int = 64,
     engine_kwargs: dict | None = None,
-    tracer=None,
-    check=None,
+    hooks=(),
     engine=None,
     session=None,
 ) -> CCSim:
@@ -104,10 +113,12 @@ def simulate_mta_cc(
     max_iter:
         Safety bound on outer iterations.
     engine_kwargs:
-        Overrides for :class:`~repro.sim.MTAEngine`.
-    tracer:
-        Optional :class:`repro.obs.Tracer`; each graft/shortcut engine
-        phase is recorded back to back on its timeline.
+        Overrides for :class:`~repro.sim.MTAEngine`: machine parameters
+        and ``tier``.
+    hooks:
+        :class:`~repro.sim.hooks.HookBus` listeners for every engine
+        phase, e.g. ``(TracerHook(tracer),)``: a tracer records each
+        graft/shortcut phase back to back on its timeline.
     engine:
         Engine facade to construct instead of the stock
         :class:`~repro.sim.MTAEngine` (any interleaved machine's
@@ -129,33 +140,22 @@ def simulate_mta_cc(
     # Ops are literal tuples on allocation bases: EdgeList bounds every
     # endpoint and d only ever holds vertex ids, so no op needs a check.
     space = AddressSpace()
-    a_d = space.alloc("D", n)
-    b_d = a_d.base
+    b_d = space.alloc("D", n).base
     b_e = space.alloc("E", 2 * m2).base
     b_ctr = space.alloc("counters", 8).base
-    a_flag = space.alloc("graft-flag", 1)
-    b_flag = a_flag.base
+    b_flag = space.alloc("graft-flag", 1).base
 
     d = list(range(n))
     eng_cls = engine if engine is not None else MTAEngine
     kw = dict(engine_kwargs or {})
     kw.setdefault("streams_per_proc", max(streams_per_proc, 1))
-    kw.setdefault("tracer", tracer)
-    kw.setdefault("check", check)
-    kw.setdefault("session", session)
-    if kw["check"] is not None:
-        kw["check"].set_address_space(space)
-        # Concurrent grafts d[dv] = du (different winners racing on one
-        # root) and the shared did-anything-graft flag are the textbook
-        # benign races of Shiloach--Vishkin: any winner advances the
-        # algorithm.  Annotated so default analysis stays clean while
-        # --strict still surfaces them.
-        kw["check"].allow_racy(
-            a_d.base, a_d.end, "SV concurrent grafts/shortcuts are algorithmically benign"
-        )
-        kw["check"].allow_racy(
-            a_flag.base, a_flag.end, "graft flag is a monotonic any-write-wins broadcast"
-        )
+
+    def new_engine():
+        """One phase's engine, its memory declared to the hooks."""
+        eng = eng_cls(p=p, hooks=hooks, session=session, **kw)
+        eng.declare_memory(space, SV_BENIGN_RACES)
+        return eng
+
     n_workers = max(1, min(p * streams_per_proc, m2))
     reports: list[SimReport] = []
     graft_flag = [False]
@@ -210,14 +210,14 @@ def simulate_mta_cc(
         if iterations > max_iter:
             raise SimulationError(f"Alg. 3 simulation exceeded {max_iter} iterations")
         graft_flag[0] = False
-        eng = eng_cls(p=p, **kw)
+        eng = new_engine()
         eng.set_counter(b_ctr + 0, 0)
         for _ in range(n_workers):
             eng.spawn(graft_worker(b_ctr + 0))
         reports.append(eng.run(f"mta.graft.{iterations}"))
         if not graft_flag[0]:
             break
-        eng = eng_cls(p=p, **kw)
+        eng = new_engine()
         eng.set_counter(b_ctr + 1, 0)
         vchunk = max(4, edges_per_chunk)
         n_sc = max(1, min(p * streams_per_proc, n))
@@ -240,8 +240,6 @@ def simulate_smp_cc(
     *,
     max_iter: int = 64,
     config=None,
-    tracer=None,
-    check=None,
     hooks=(),
     tier: str = "auto",
     session=None,
@@ -270,8 +268,8 @@ def simulate_smp_cc(
     Both named variants attach host-side branch counters to
     ``report.detail["branch"]`` so ``repro.xval`` can compare the
     engine's measured branch cost against the analytic prediction.
-    ``hooks`` are extra :class:`~repro.sim.hooks.HookBus` listeners for
-    the engine.
+    ``hooks`` are the engine's :class:`~repro.sim.hooks.HookBus`
+    listeners.
     """
     from ..core.smp_machine import SUN_E4500
 
@@ -297,11 +295,9 @@ def simulate_smp_cc(
     m2 = len(eu)
 
     space = AddressSpace()
-    a_d = space.alloc("D", n)
-    b_d = a_d.base
+    b_d = space.alloc("D", n).base
     b_e = space.alloc("E", 2 * m2).base
-    a_flag = space.alloc("graft-flag", 1)
-    b_flag = a_flag.base
+    b_flag = space.alloc("graft-flag", 1).base
 
     d = list(range(n))
     shared = {"graft": False, "iterations": 0}
@@ -377,18 +373,8 @@ def simulate_smp_cc(
             yield ("B", "shortcut")
         raise SimulationError(f"SMP CC simulation exceeded {max_iter} iterations")
 
-    if check is not None:
-        check.set_address_space(space)
-        check.allow_racy(
-            a_d.base, a_d.end, "SV concurrent grafts/shortcuts are algorithmically benign"
-        )
-        check.allow_racy(
-            a_flag.base, a_flag.end, "graft flag is a monotonic any-write-wins broadcast"
-        )
-    eng = SMPEngine(
-        p=p, config=config, tracer=tracer, check=check, hooks=hooks, tier=tier,
-        session=session,
-    )
+    eng = SMPEngine(p=p, config=config, hooks=hooks, tier=tier, session=session)
+    eng.declare_memory(space, SV_BENIGN_RACES)
     for proc in range(p):
         eng.spawn(program(proc))
     report = eng.run("smp.sv-cc")

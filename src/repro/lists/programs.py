@@ -87,8 +87,7 @@ def simulate_mta_list_ranking(
     nodes_per_walk: int = 10,
     dynamic: bool = True,
     engine_kwargs: dict | None = None,
-    tracer=None,
-    check=None,
+    hooks=(),
     engine=None,
     session=None,
 ) -> MTAListRankingSim:
@@ -110,10 +109,12 @@ def simulate_mta_list_ranking(
         in blocks — the load-imbalanced variant the scheduling ablation
         measures.
     engine_kwargs:
-        Overrides for :class:`~repro.sim.MTAEngine` (latency, lookahead…).
-    tracer:
-        Optional :class:`repro.obs.Tracer`; the four engine phases are
-        recorded back to back on its timeline.
+        Overrides for :class:`~repro.sim.MTAEngine`: machine parameters
+        (latency, lookahead…) and ``tier``.
+    hooks:
+        :class:`~repro.sim.hooks.HookBus` listeners for every engine
+        phase, e.g. ``(TracerHook(tracer),)``: a tracer records the four
+        phases back to back on its timeline.
     engine:
         Engine facade to construct instead of the stock
         :class:`~repro.sim.MTAEngine` (any interleaved machine's
@@ -159,11 +160,12 @@ def simulate_mta_list_ranking(
     eng_cls = engine if engine is not None else MTAEngine
     kw = dict(engine_kwargs or {})
     kw.setdefault("streams_per_proc", max(streams_per_proc, 1))
-    kw.setdefault("tracer", tracer)
-    kw.setdefault("check", check)
-    kw.setdefault("session", session)
-    if kw["check"] is not None:
-        kw["check"].set_address_space(space)
+
+    def new_engine():
+        """One phase's engine, its memory declared to the hooks."""
+        eng = eng_cls(p=p, hooks=hooks, session=session, **kw)
+        eng.declare_memory(space)
+        return eng
 
     def worker_blocks():
         """Each worker's walks in order, or None per worker when walks
@@ -182,7 +184,7 @@ def simulate_mta_list_ranking(
                 yield ("S", b_rank + j)
                 yield ("C", 1)
 
-    eng = eng_cls(p=p, **kw)
+    eng = new_engine()
     eng.set_counter(b_ctr + 0, 0)
     chunk = max(8, n // max(1, 4 * n_workers))
     for _ in range(n_workers):
@@ -221,7 +223,7 @@ def simulate_mta_list_ranking(
             yield ("S", b_tail + wi)
             yield ("S", b_next + wi)
 
-    eng = eng_cls(p=p, **kw)
+    eng = new_engine()
     if dynamic:
         eng.set_counter(b_ctr + 1, 0)
     for block in worker_blocks():
@@ -262,7 +264,7 @@ def simulate_mta_list_ranking(
                 yield ("S", b_next + i)
             yield ("B", "wy-apply")
 
-    eng = eng_cls(p=p, **kw)
+    eng = new_engine()
     eng.register_barrier("wy-gather", wy_workers)
     eng.register_barrier("wy-apply", wy_workers)
     for b in np.array_split(np.arange(w), wy_workers):
@@ -294,7 +296,7 @@ def simulate_mta_list_ranking(
                 yield ("LD", b_nxt + j)
                 j = j2
 
-    eng = eng_cls(p=p, **kw)
+    eng = new_engine()
     if dynamic:
         eng.set_counter(b_ctr + 2, 0)
     for block in worker_blocks():
@@ -315,8 +317,6 @@ def simulate_smp_list_ranking(
     s: int | None = None,
     rng: np.random.Generator | int | None = None,
     config=None,
-    tracer=None,
-    check=None,
     hooks=(),
     tier: str = "auto",
     session=None,
@@ -329,7 +329,7 @@ def simulate_smp_list_ranking(
     per-processor hierarchies fed by the algorithm's real addresses.
     Processor 0 emits ``PHASE`` markers so the run decomposes into the
     algorithm's five steps (``s1.sweep`` … ``s5.combine``).  ``hooks``
-    are extra :class:`~repro.sim.hooks.HookBus` listeners for the engine.
+    are the engine's :class:`~repro.sim.hooks.HookBus` listeners.
     """
     from ..core.smp_machine import SUN_E4500
 
@@ -446,12 +446,8 @@ def simulate_smp_list_ranking(
             yield ("S", b_out + j)
         yield ("B", "s5")
 
-    if check is not None:
-        check.set_address_space(space)
-    eng = SMPEngine(
-        p=p, config=config, tracer=tracer, check=check, hooks=hooks, tier=tier,
-        session=session,
-    )
+    eng = SMPEngine(p=p, config=config, hooks=hooks, tier=tier, session=session)
+    eng.declare_memory(space)
     eng.set_counter(b_ctr + 0, 0)
     for proc in range(p):
         eng.spawn(program(proc))

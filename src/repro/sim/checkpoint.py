@@ -105,14 +105,17 @@ def component_digests(machine_module: str) -> dict:
     return {m: _module_digest(m) for m in mods}
 
 
-def default_checkpoint_root() -> Path:
-    """``$REPRO_CHECKPOINT_DIR``, or ``<cache root>/checkpoints``."""
+def default_checkpoint_root(cache_root=None) -> Path:
+    """``$REPRO_CHECKPOINT_DIR``, or ``<cache root>/checkpoints`` where
+    the cache root is ``cache_root`` or the default result-cache root."""
     env = os.environ.get("REPRO_CHECKPOINT_DIR")  # allow_nondet: artifact location only, never results
     if env:
         return Path(env)
-    from ..core.cache import default_cache_root
+    if cache_root is None:
+        from ..core.cache import default_cache_root
 
-    return default_cache_root() / "checkpoints"
+        cache_root = default_cache_root()
+    return Path(cache_root) / "checkpoints"
 
 
 # -- artifact codec -------------------------------------------------------------
@@ -244,7 +247,8 @@ class CheckpointStore:
     16 hex digits of the owning job key (``adhoc`` for sessions without
     one) and ``cid`` is the SHA-256 of the artifact bytes.  Artifacts
     are immutable; newer checkpoints of the same job are separate files
-    (pruned LRU by ``repro cache --prune``).
+    (pruned LRU by :meth:`prune`, ``repro cache --prune``).  ``root``
+    defaults to :func:`default_checkpoint_root`.
     """
 
     def __init__(self, root=None) -> None:
@@ -274,6 +278,19 @@ class CheckpointStore:
             except CheckpointError:
                 continue
         return out
+
+    def files(self) -> list:
+        """Every artifact as ``(path, mtime, size)``, oldest first."""
+        from ..core.cache import stat_files
+
+        return stat_files(self.root.glob("*/*.ckpt"))
+
+    def prune(self, max_entries: int | None = None, max_bytes: int | None = None):
+        """Evict least-recently-written artifacts until the store fits
+        the caps; returns ``(evicted, freed_bytes)``."""
+        from ..core.cache import evict_lru
+
+        return evict_lru(self.files(), max_entries, max_bytes)
 
     def newest_for(self, job_key: str) -> Path | None:
         """The most advanced artifact of ``job_key`` (by run index, then
@@ -382,7 +399,7 @@ class CheckpointSession:
         self._next_run = 0
         self._kernels: dict = {}
 
-    def run(self, kernel, name: str, *, budget=None, tier=None):
+    def run(self, kernel, name: str, *, budget=None):
         """Execute (or replay, or resume) run ``name`` on ``kernel``."""
         if id(kernel) in self._kernels:  # allow_nondet: same-process identity guard, never persisted
             raise CheckpointError(
@@ -418,8 +435,7 @@ class CheckpointSession:
         sink = self._make_sink(kernel) if every is not None else None
         try:
             report = kernel.run(
-                name, budget=budget, tier=tier,
-                checkpoint_every=every, checkpoint_sink=sink,
+                name, budget=budget, checkpoint_every=every, checkpoint_sink=sink
             )
         except WatchdogExceeded as exc:
             # post-mortem artifact: resume later with a larger budget

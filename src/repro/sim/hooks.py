@@ -14,6 +14,10 @@ Events (a hook implements any subset as plain methods):
     A machine of ``kind`` with ``p`` processors was constructed.
 ``register_barrier(bid, need)`` / ``init_full(addr)`` / ``init_counter(addr)``
     Setup-time declarations, before the run starts.
+``declare_memory(space, racy)``
+    Setup-time: the program's :class:`~repro.arch.memory.AddressSpace`
+    and its benign-race allocations (``{name: reason}``), for tools that
+    check addresses against allocations (the concurrency checker).
 ``on_run_start(name, p)``
     ``SimKernel.run(name)`` is about to enter its loop.
 ``on_op(tid, op)``
@@ -38,21 +42,21 @@ Events (a hook implements any subset as plain methods):
     The run completed normally; ``report`` is the final
     :class:`~repro.sim.stats.SimReport`.
 
-The bus is built for a hot interpreter loop: :meth:`HookBus.listeners`
+The hooks are fixed when the bus is built (an engine's ``hooks=``), and
+the bus is built for a hot interpreter loop: :meth:`HookBus.listeners`
 returns a tuple of bound methods **or None when nobody subscribed**, so
-the kernel's disabled path stays one ``is not None`` test per event —
-exactly what the hand-rolled ``if self._check is not None`` tests cost
-before.
+the kernel's disabled path stays one ``is not None`` test per event.
 
 :class:`TracerHook` and :class:`CheckerHook` adapt the existing
 :class:`repro.obs.Tracer` and :class:`repro.analysis.ConcurrencyChecker`
 interfaces onto the bus; neither of those classes knows anything about
-engines anymore.
+engines, and ``hooks=(TracerHook(t), CheckerHook(c))`` is the one way
+either reaches a run.
 """
 
 from __future__ import annotations
 
-__all__ = ["HookBus", "TracerHook", "CheckerHook", "HOOK_EVENTS"]
+__all__ = ["HookBus", "TracerHook", "CheckerHook", "HOOK_EVENTS", "PER_OP_EVENTS"]
 
 #: Every event a hook may implement, in documentation order.
 HOOK_EVENTS = (
@@ -60,6 +64,7 @@ HOOK_EVENTS = (
     "register_barrier",
     "init_full",
     "init_counter",
+    "declare_memory",
     "on_run_start",
     "on_op",
     "on_op_span",
@@ -71,29 +76,20 @@ HOOK_EVENTS = (
 )
 
 
+#: Events whose subscribers observe individual ops or sync transitions,
+#: which the vector tier's fast-forward windows skip by construction.
+PER_OP_EVENTS = ("on_op", "on_op_span", "on_sync")
+
+
 class HookBus:
-    """Fan-out of kernel events to attached hooks, in attach order."""
+    """Fan-out of kernel events to the hooks given at construction, in
+    order.  ``per_op`` is True when some hook subscribes to one of
+    :data:`PER_OP_EVENTS` (a checker, an op-level tracer)."""
 
     def __init__(self, hooks=()):
-        self._hooks = list(hooks)
+        self.hooks = tuple(hooks)
         self._cache: dict[str, tuple | None] = {}
-        #: Bumped on every :meth:`add`.  The kernel's run loops compare
-        #: it against the value they cached their listener tuples from,
-        #: so a hook attached *mid-run* (from another hook's callback)
-        #: starts receiving events at the next scheduling boundary — and
-        #: the vectorized fast tier demotes itself if the new subscriber
-        #: demands per-op fidelity.
-        self.version = 0
-
-    def add(self, hook) -> None:
-        """Attach ``hook``; it receives every event it has a method for."""
-        self._hooks.append(hook)
-        self._cache.clear()
-        self.version += 1
-
-    @property
-    def hooks(self) -> tuple:
-        return tuple(self._hooks)
+        self.per_op = any(self.listeners(e) is not None for e in PER_OP_EVENTS)
 
     def listeners(self, event: str):
         """Bound methods subscribed to ``event``, or ``None`` if none.
@@ -106,7 +102,7 @@ class HookBus:
         except KeyError:
             fns = tuple(
                 fn
-                for fn in (getattr(h, event, None) for h in self._hooks)
+                for fn in (getattr(h, event, None) for h in self.hooks)
                 if fn is not None
             )
             self._cache[event] = fns or None
@@ -131,6 +127,9 @@ class HookBus:
 
     def init_counter(self, addr: int) -> None:
         self.emit("init_counter", addr)
+
+    def declare_memory(self, space, racy) -> None:
+        self.emit("declare_memory", space, racy)
 
 
 class TracerHook:
@@ -182,6 +181,12 @@ class CheckerHook:
 
     def init_counter(self, addr: int) -> None:
         self.check.init_counter(addr)
+
+    def declare_memory(self, space, racy) -> None:
+        self.check.set_address_space(space)
+        for name, reason in racy.items():
+            a = space[name]
+            self.check.allow_racy(a.base, a.end, reason)
 
     def on_run_start(self, name: str, p: int) -> None:
         self.check.start_run(name)

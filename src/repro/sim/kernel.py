@@ -55,7 +55,7 @@ from ..errors import (
     SimulationError,
     WatchdogExceeded,
 )
-from .hooks import CheckerHook, HookBus, TracerHook
+from .hooks import HookBus
 from .isa import BARRIER, COMPUTE, PHASE, RUN_BLOCK
 from .stats import PhaseSlice, SimReport
 from .thread import BLOCKED, DONE, READY, WAIT_BARRIER, SimThread
@@ -81,15 +81,10 @@ INTERLEAVED = "interleaved"
 
 #: Execution tiers a caller may request (see docs/SIMULATION.md,
 #: "Execution tiers").  ``auto`` picks ``vector`` whenever the machine
-#: publishes a :meth:`MachineModel.vector_profile` and nobody demands
-#: per-op fidelity (an ``on_op``/``on_op_span``/``on_sync`` subscriber
-#: — a checker or an op-level tracer); otherwise ``interpreted``.
+#: publishes a :meth:`MachineModel.vector_profile` and no hook demands
+#: per-op fidelity (``HookBus.per_op``: a checker or an op-level
+#: tracer); otherwise ``interpreted``.
 TIERS = ("auto", "interpreted", "vector")
-
-#: HookBus events whose subscribers require the interpreted tier: they
-#: observe individual ops or sync transitions, which the vectorized
-#: windows skip by construction.
-_FIDELITY_EVENTS = ("on_op", "on_op_span", "on_sync")
 
 
 class MachineModel:
@@ -267,31 +262,24 @@ class SimKernel:
     ----------
     model:
         The :class:`MachineModel` to execute under.
-    tracer:
-        Optional :class:`repro.obs.Tracer`, attached to the bus via
-        :class:`~repro.sim.hooks.TracerHook`.
-    check:
-        Optional :class:`repro.analysis.ConcurrencyChecker`, attached
-        via :class:`~repro.sim.hooks.CheckerHook`.
     hooks:
-        Additional pre-built hook objects (any object implementing a
-        subset of :data:`~repro.sim.hooks.HOOK_EVENTS`).
+        The run's instrumentation: objects implementing any subset of
+        :data:`~repro.sim.hooks.HOOK_EVENTS`, such as
+        ``TracerHook(tracer)`` or ``CheckerHook(checker)``.  The bus is
+        fixed here; nothing attaches later.
     tier:
         Execution tier (one of :data:`TIERS`): ``"auto"`` (default)
         uses the vectorized fast path whenever the machine supports it
-        and no subscriber demands per-op fidelity; ``"interpreted"``
-        forces the per-op path; ``"vector"`` demands the fast path and
-        raises :class:`~repro.errors.ConfigurationError` if fidelity
-        requirements or the machine forbid it — never a silent
-        downgrade.  ``run(tier=...)`` overrides per run.
+        and no hook demands per-op fidelity; ``"interpreted"`` forces
+        the per-op path; ``"vector"`` demands the fast path, and
+        :meth:`run` raises :class:`~repro.errors.ConfigurationError` if
+        a hook or the machine forbids it — never a silent downgrade.
     """
 
     def __init__(
         self,
         model: MachineModel,
         *,
-        tracer=None,
-        check=None,
         hooks=(),
         tier="auto",
         record=False,
@@ -303,14 +291,7 @@ class SimKernel:
             raise ConfigurationError(
                 f"unknown scheduling discipline {model.scheduling!r}"
             )
-        bus = HookBus()
-        if tracer is not None:
-            bus.add(TracerHook(tracer))
-        if check is not None:
-            bus.add(CheckerHook(check))
-        for h in hooks:
-            bus.add(h)
-        self.bus = bus
+        self.bus = bus = HookBus(hooks)
 
         self.threads: list[SimThread] = []
         self.procs = [_Proc() for _ in range(self.p)] if not self.event_mode else []
@@ -325,19 +306,16 @@ class SimKernel:
         self.barrier_episodes = 0
         #: interleaved mode: barrier id -> [arrivals, wait cycles, max wait].
         self.barrier_stats: dict[str, list] = {}
-        # per-run hook shortcuts (tuples of callables, or None = disabled);
+        # hook shortcuts (tuples of callables, or None = disabled);
         # model handlers read these to emit spans / sync events cheaply.
-        self._h_span = None
-        self._h_sync = None
-        self._h_release = None
+        self._h_span = bus.listeners("on_op_span")
+        self._h_sync = bus.listeners("on_sync")
+        self._h_release = bus.listeners("on_barrier_release")
         if tier not in TIERS:
             raise ConfigurationError(f"unknown tier {tier!r}; expected one of {TIERS}")
         self.tier = tier
         #: Tier the last run resolved to ("vector" or "interpreted").
         self.tier_used: str | None = None
-        #: True when a mid-run subscription forced the vector tier to
-        #: demote to per-op execution for the rest of the run.
-        self.tier_demoted = False
         #: Fast-forward window accounting (not part of SimReport — the
         #: report must stay byte-identical across tiers).
         self._window_stats = {"windows": 0, "ops": 0}
@@ -413,6 +391,12 @@ class SimKernel:
         self.model.init_full(addr, value)
         self._setup_hash.update(f"F{addr}:{value!r}".encode())
         self.bus.init_full(addr)
+
+    def declare_memory(self, space, racy=None) -> None:
+        """Declare the program's :class:`~repro.arch.memory.AddressSpace`
+        and its benign-race allocations (``{name: reason}``) to the hooks.
+        Pure instrumentation: the simulation never reads either."""
+        self.bus.declare_memory(space, racy or {})
 
     # -- scheduling helpers used by model handlers -------------------------------
 
@@ -671,25 +655,6 @@ class SimKernel:
         they bulk-executed.  Diagnostic only — never in the report."""
         return dict(self._window_stats)
 
-    def _fidelity_demanded(self) -> bool:
-        bus = self.bus
-        return any(bus.listeners(e) is not None for e in _FIDELITY_EVENTS)
-
-    def _refresh_listeners(self):
-        """Re-read listener tuples after a mid-run ``HookBus.add``.
-
-        Updates the shortcuts the model handlers read and returns the
-        ``(on_op, on_phase)`` tuples the run loops cache locally.  A
-        hook attached mid-run starts receiving events at the next
-        scheduling boundary (next cycle for interleaved machines, next
-        step for event machines).
-        """
-        bus = self.bus
-        self._h_span = bus.listeners("on_op_span")
-        self._h_sync = bus.listeners("on_sync")
-        self._h_release = bus.listeners("on_barrier_release")
-        return bus.listeners("on_op"), bus.listeners("on_phase")
-
     # -- run --------------------------------------------------------------------
 
     def run(
@@ -697,7 +662,6 @@ class SimKernel:
         name: str = "phase",
         budget: int | None = None,
         *,
-        tier: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
     ) -> SimReport:
@@ -709,8 +673,7 @@ class SimKernel:
         inventory and the phase slices closed at the abort point (plus a
         resumable post-mortem checkpoint when the kernel is recording).
 
-        ``tier`` overrides the kernel's configured execution tier for
-        this run (see the constructor); both tiers produce
+        The run executes on the constructor's tier; both tiers produce
         byte-identical reports — the fast one merely skips the
         interpreter where nothing observable happens.
 
@@ -729,10 +692,6 @@ class SimKernel:
             raise ConfigurationError(
                 f"{len(self.threads)} programs attached but machine has p={self.p}"
             )
-        if tier is None:
-            tier = self.tier
-        elif tier not in TIERS:
-            raise ConfigurationError(f"unknown tier {tier!r}; expected one of {TIERS}")
         if checkpoint_every is not None:
             if checkpoint_every < 1:
                 raise ConfigurationError("checkpoint_every must be >= 1")
@@ -750,10 +709,7 @@ class SimKernel:
                     "serializable-state contract (to_state/from_state)"
                 )
         bus = self.bus
-        self._h_span = bus.listeners("on_op_span")
-        self._h_sync = bus.listeners("on_sync")
-        self._h_release = bus.listeners("on_barrier_release")
-        fidelity = self._fidelity_demanded()
+        tier = self.tier
         profile = self.model.vector_profile()
         if tier == "vector":
             if profile is None:
@@ -762,7 +718,7 @@ class SimKernel:
                     "publishes no vector profile (per-op semantics, e.g. bank "
                     "queueing, admit no closed-form fast-forward)"
                 )
-            if fidelity:
+            if bus.per_op:
                 raise ConfigurationError(
                     "tier='vector' conflicts with per-op instrumentation "
                     "(an on_op/on_op_span/on_sync subscriber — a concurrency "
@@ -773,9 +729,8 @@ class SimKernel:
         elif tier == "interpreted":
             fast = False
         else:  # auto
-            fast = profile is not None and not fidelity
+            fast = profile is not None and not bus.per_op
         self.tier_used = "vector" if fast else "interpreted"
-        self.tier_demoted = False
         ctx = self._resume_ctx
         if ctx is not None:
             # continuing a checkpointed run: keep its name and do not
@@ -835,7 +790,6 @@ class SimKernel:
             snaps = self._phase_snaps
             steps = ctx["progress"]["steps"]
         bus = self.bus
-        ver = bus.version
         h_op = bus.listeners("on_op")
         h_phase = bus.listeners("on_phase")
         h_span = self._h_span
@@ -884,15 +838,6 @@ class SimKernel:
                         time,
                         progress={"steps": steps - 1},
                     )
-                if bus.version != ver:
-                    ver = bus.version
-                    h_op, h_phase = self._refresh_listeners()
-                    h_span = self._h_span
-                    h_release = self._h_release
-                    if fast and (h_op is not None or h_span is not None
-                                 or self._h_sync is not None):
-                        fast = False
-                        self.tier_demoted = True
                 blk = t.fblock
                 if blk is not None:
                     op = blk.ops[t.fbpos]
@@ -1049,7 +994,6 @@ class SimKernel:
             cycle = ctx["progress"]["cycle"]
             last_issue = ctx["progress"]["last_issue"]
         bus = self.bus
-        ver = bus.version
         h_op = bus.listeners("on_op")
         h_phase = bus.listeners("on_phase")
         rec = self._rec_tids
@@ -1087,13 +1031,6 @@ class SimKernel:
                     cycle,
                     progress={"cycle": cycle, "last_issue": last_issue},
                 )
-            if bus.version != ver:  # a hook attached mid-run
-                ver = bus.version
-                h_op, h_phase = self._refresh_listeners()
-                if fast and (h_op is not None or self._h_span is not None
-                             or self._h_sync is not None):
-                    fast = False  # per-op fidelity demanded: demote
-                    self.tier_demoted = True
             if fast and in_block == self._live:
                 # fast-forward the pure-LD regime in closed form; the
                 # window ends (or never opens) exactly where per-op
@@ -1183,10 +1120,12 @@ class SimKernel:
             if any_ready:
                 cycle += 1
             else:
-                nxt = min(
-                    (proc.wake[0][0] for proc in procs if proc.wake),
-                    default=None,
-                )
+                # globally idle: fast-forward to the earliest wake-up
+                nxt = None
+                for proc in procs:
+                    wake = proc.wake
+                    if wake and (nxt is None or wake[0][0] < nxt):
+                        nxt = wake[0][0]
                 if nxt is None:
                     if self._live > 0:
                         self._last_issue = last_issue
@@ -1392,9 +1331,9 @@ class Engine:
     read through :attr:`model`.  ``params`` are machine parameters
     (``streams_per_proc``, the SMP's ``config``, …); only caller-supplied
     ones reach the machine, so its own defaults apply, and an unknown
-    one raises :class:`~repro.errors.ConfigurationError`.  ``tracer``,
-    ``check``, ``hooks``, ``tier`` and ``record`` go to the
-    :class:`SimKernel`.  With a ``session``
+    one raises :class:`~repro.errors.ConfigurationError`.  ``hooks``,
+    ``tier`` and ``record`` go to the :class:`SimKernel`; ``hooks`` is
+    the one way instrumentation reaches a run.  With a ``session``
     (:class:`repro.sim.checkpoint.CheckpointSession`, which implies
     ``record``) every :meth:`run` goes through the session.
     """
@@ -1406,8 +1345,6 @@ class Engine:
         self,
         p: int = 1,
         *,
-        tracer=None,
-        check=None,
         hooks=(),
         tier="auto",
         session=None,
@@ -1423,12 +1360,7 @@ class Engine:
         self.p = self.model.p
         self.session = session
         self.kernel = SimKernel(
-            self.model,
-            tracer=tracer,
-            check=check,
-            hooks=hooks,
-            tier=tier,
-            record=record or session is not None,
+            self.model, hooks=hooks, tier=tier, record=record or session is not None
         )
 
     def spawn(self, gen, proc: int | None = None) -> SimThread:
@@ -1444,6 +1376,9 @@ class Engine:
     def set_full(self, addr: int, value=0) -> None:
         self.kernel.set_full(addr, value)
 
+    def declare_memory(self, space, racy=None) -> None:
+        self.kernel.declare_memory(space, racy)
+
     def resume(self, state: dict) -> None:
         """Restore a kernel snapshot (spawn the same programs first)."""
         self.kernel.resume(state)
@@ -1453,18 +1388,16 @@ class Engine:
         name: str = "phase",
         budget: int | None = None,
         *,
-        tier: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
     ) -> SimReport:
         """:meth:`SimKernel.run`, or the session's run when one is set
         (which then manages checkpoints itself)."""
         if self.session is not None:
-            return self.session.run(self.kernel, name, budget=budget, tier=tier)
+            return self.session.run(self.kernel, name, budget=budget)
         return self.kernel.run(
             name,
             budget,
-            tier=tier,
             checkpoint_every=checkpoint_every,
             checkpoint_sink=checkpoint_sink,
         )

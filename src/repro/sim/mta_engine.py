@@ -236,13 +236,15 @@ class MTAMachine(MachineModel):
         # cycle + mem_latency; only banked memory needs _mem_done.
         banked = bool(self.n_banks)
         mem_done = self._mem_done
+        # the kernel's hook shortcuts are fixed when it is built
+        h_span = kernel._h_span
+        h_sync = kernel._h_sync
 
         def h_compute(proc, t, op, cycle):
             k = op[1]
             if k < 1:
                 raise SimulationError(f"compute burst must be >= 1, got {k}")
             t.compute_remaining = k - 1
-            h_span = kernel._h_span
             if h_span is not None:
                 for fn in h_span:
                     fn("C", cycle, cycle + k, t.proc, t.tid, None)
@@ -252,7 +254,6 @@ class MTAMachine(MachineModel):
         # themselves: the same three steps as kernel.block_until.
         def h_mem(proc, t, op, cycle):
             done_at = mem_done(op[1], cycle) if banked else cycle + mem_latency
-            h_span = kernel._h_span
             if h_span is not None:
                 for fn in h_span:
                     fn(op[0], cycle, done_at, t.proc, t.tid, {"addr": op[1]})
@@ -272,7 +273,6 @@ class MTAMachine(MachineModel):
 
         def h_load_dep(proc, t, op, cycle):
             done_at = mem_done(op[1], cycle) if banked else cycle + mem_latency
-            h_span = kernel._h_span
             if h_span is not None:
                 for fn in h_span:
                     fn(LOAD_DEP, cycle, done_at, t.proc, t.tid, {"addr": op[1]})
@@ -298,7 +298,6 @@ class MTAMachine(MachineModel):
             site[1] += stall
             fa_next_free[addr] = done_at
             t.pending_value = old
-            h_span = kernel._h_span
             if h_span is not None:
                 for fn in h_span:
                     fn("FA", cycle, done_at, t.proc, t.tid,
@@ -310,7 +309,6 @@ class MTAMachine(MachineModel):
             addr = op[1]
             if addr in full:
                 value = full[addr]
-                h_sync = kernel._h_sync
                 if h_sync is not None:
                     consume = tag == SYNC_LOAD_EMPTY
                     for fn in h_sync:
@@ -319,7 +317,6 @@ class MTAMachine(MachineModel):
                     del full[addr]
                     self._drain_empty_waiters(kernel, addr, cycle)
                 t.pending_value = value
-                h_span = kernel._h_span
                 if h_span is not None:
                     for fn in h_span:
                         fn(tag, cycle, cycle + mem_latency, t.proc, t.tid,
@@ -337,12 +334,10 @@ class MTAMachine(MachineModel):
         def h_sync_store(proc, t, op, cycle):
             addr, value = op[1], op[2]
             if addr not in full:
-                h_span = kernel._h_span
                 if h_span is not None:
                     for fn in h_span:
                         fn(SYNC_STORE_FULL, cycle, cycle + mem_latency,
                            t.proc, t.tid, {"addr": addr})
-                h_sync = kernel._h_sync
                 if h_sync is not None:
                     for fn in h_sync:
                         fn(t.tid, addr, "write", False)

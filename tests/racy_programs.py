@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.analysis import ConcurrencyChecker
 from repro.arch.memory import AddressSpace
 from repro.errors import DeadlockError
-from repro.sim import MTAEngine, isa
+from repro.sim import CheckerHook, MTAEngine, isa
 from repro.sim.smp_engine import SMPEngine
 
 #: Small cycle budget: corpus programs are tiny, and a detector bug
@@ -30,8 +30,10 @@ MAX_CYCLES = 500_000
 def _run_mta(build, *, strict=False, engine_kwargs=None):
     """Build + run one MTA corpus program; deadlocks become findings."""
     check = ConcurrencyChecker(strict=strict, program=build.__name__)
-    eng = MTAEngine(p=1, streams_per_proc=8, check=check, **(engine_kwargs or {}))
-    build(eng, check)
+    eng = MTAEngine(
+        p=1, streams_per_proc=8, hooks=(CheckerHook(check),), **(engine_kwargs or {})
+    )
+    build(eng)
     try:
         eng.run("corpus", budget=MAX_CYCLES)
     except DeadlockError:
@@ -45,10 +47,10 @@ def _run_mta(build, *, strict=False, engine_kwargs=None):
 def run_racy_store_store(strict=False):
     """Two threads store the same word with no ordering: write-write race."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         a = space.alloc("x", 4)
-        check.set_address_space(space)
+        eng.declare_memory(space)
 
         def writer(v):
             yield isa.compute(v + 1)
@@ -63,10 +65,10 @@ def run_racy_store_store(strict=False):
 def run_racy_unsynced_read(strict=False):
     """Consumer loads a word the producer stores, with no sync edge."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         a = space.alloc("data", 4)
-        check.set_address_space(space)
+        eng.declare_memory(space)
 
         def producer():
             yield isa.compute(5)
@@ -89,11 +91,11 @@ def run_clean_fe_handoff(strict=False):
     the SSF→SLE sync edge, so the race detector must stay quiet.
     """
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         a = space.alloc("data", 4)
         flag = space.alloc("flag", 1)
-        check.set_address_space(space)
+        eng.declare_memory(space)
 
         def producer():
             yield isa.compute(5)
@@ -114,11 +116,11 @@ def run_clean_fa_tickets(strict=False):
     """FA-dispatched disjoint slots: serialization orders the counter,
     distinct tickets keep the data writes disjoint — clean."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         ctr = space.alloc("ctr", 1)
         out = space.alloc("out", 8)
-        check.set_address_space(space)
+        eng.declare_memory(space)
         eng.set_counter(ctr.addr(0), 0)
 
         def worker():
@@ -135,11 +137,11 @@ def run_racy_fa_neighbor(strict=False):
     """FA hands out tickets but each worker also reads its neighbor's
     slot — the FA edge does not cover that access: race."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         ctr = space.alloc("ctr", 1)
         out = space.alloc("out", 8)
-        check.set_address_space(space)
+        eng.declare_memory(space)
         eng.set_counter(ctr.addr(0), 0)
 
         def worker():
@@ -159,10 +161,10 @@ def run_racy_fa_neighbor(strict=False):
 def run_deadlock_ssf_full():
     """SSF to a word initialized Full, with no consumer: blocks forever."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         w = space.alloc("word", 1)
-        check.set_address_space(space)
+        eng.declare_memory(space)
         eng.set_full(w.addr(0), 7)
 
         def producer():
@@ -177,10 +179,10 @@ def run_clean_ssf_after_drain():
     """Corrected twin: a consumer drains the word first, so the second
     store finds it Empty."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         w = space.alloc("word", 1)
-        check.set_address_space(space)
+        eng.declare_memory(space)
         eng.set_full(w.addr(0), 7)
 
         def consumer():
@@ -199,10 +201,10 @@ def run_clean_ssf_after_drain():
 def run_sync_uninit_sle():
     """SLE on a word that was never set_full and has no producer."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         w = space.alloc("word", 1)
-        check.set_address_space(space)
+        eng.declare_memory(space)
 
         def consumer():
             yield isa.sync_load_consume(w.addr(0))
@@ -218,7 +220,7 @@ def run_sync_uninit_sle():
 def run_barrier_mismatch_mta():
     """Barrier registered for two participants; only one ever arrives."""
 
-    def build(eng, check):
+    def build(eng):
         eng.register_barrier("meet", 2)
 
         def lonely():
@@ -233,7 +235,7 @@ def run_barrier_mismatch_mta():
 def run_barrier_mismatch_smp():
     """SMP: one processor returns before the barrier the other enters."""
     check = ConcurrencyChecker(program="run_barrier_mismatch_smp")
-    eng = SMPEngine(p=2, check=check)
+    eng = SMPEngine(p=2, hooks=(CheckerHook(check),))
 
     def program(proc):
         yield isa.compute(1)
@@ -253,10 +255,10 @@ def run_barrier_mismatch_smp():
 def run_clean_barrier_pair():
     """Both participants arrive: barrier orders the store before the load."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         a = space.alloc("x", 4)
-        check.set_address_space(space)
+        eng.declare_memory(space)
         eng.register_barrier("meet", 2)
 
         def writer():
@@ -276,7 +278,7 @@ def run_clean_barrier_pair():
 def run_barrier_unused():
     """A registered barrier no thread ever reaches (dead sync object)."""
 
-    def build(eng, check):
+    def build(eng):
         eng.register_barrier("ghost", 2)
 
         def worker():
@@ -293,10 +295,10 @@ def run_barrier_unused():
 def run_bounds_overrun():
     """A store one word past the end of the only allocation."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         a = space.alloc("arr", 4)
-        check.set_address_space(space)
+        eng.declare_memory(space)
 
         def walker():
             for i in range(4):
@@ -311,11 +313,11 @@ def run_bounds_overrun():
 def run_clean_bounds():
     """Every access lands inside an allocation."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         a = space.alloc("arr", 4)
         b = space.alloc("brr", 2)
-        check.set_address_space(space)
+        eng.declare_memory(space)
 
         def walker():
             for i in range(4):
@@ -330,10 +332,10 @@ def run_clean_bounds():
 def run_fa_uninit():
     """FA on a cell never initialized by set_counter or a store."""
 
-    def build(eng, check):
+    def build(eng):
         space = AddressSpace()
         ctr = space.alloc("ctr", 1)
-        check.set_address_space(space)
+        eng.declare_memory(space)
 
         def worker():
             yield isa.fetch_add(ctr.addr(0), 1)
@@ -346,7 +348,7 @@ def run_fa_uninit():
 def run_phase_duplicate():
     """One thread emits the same phase marker twice in one run."""
 
-    def build(eng, check):
+    def build(eng):
         def worker():
             yield isa.phase("loop")
             yield isa.compute(1)

@@ -2,8 +2,9 @@
 
 The acceptance bar for the analyzer: every shipped op-tuple program is
 happens-before clean (modulo the annotated Shiloach–Vishkin races,
-which strict mode surfaces), and the backend ``check`` plumbing works
-both as an explicit argument and as a workload option.
+which strict mode surfaces), a checker reaches a backend run only as
+``hooks=(CheckerHook(checker),)``, and the retired ``check`` workload
+option is refused.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from repro.analysis import ConcurrencyChecker, analyze_suite, analyze_workload
 from repro.backends import create
 from repro.backends.base import Workload
 from repro.errors import ConfigurationError
+from repro.sim import CheckerHook
 
 SMALL_CC = Workload(
     kind="cc", p=2, seed=7, params={"graph": "random", "n": 64, "m": 256}
@@ -64,20 +66,18 @@ class TestBackendPlumbing:
         with pytest.raises(ConfigurationError):
             analyze_workload(SMALL_CC, "smp-model")
 
-    def test_check_option_attaches_summary(self):
+    def test_check_option_is_retired(self):
         backend = create("smp-engine")
         wl = Workload(kind="cc", p=2, seed=7,
                       params={"graph": "random", "n": 64, "m": 256},
                       options={"check": True})
-        summary = backend.execute(backend.prepare(wl))
-        analysis = summary.detail["analysis"]
-        assert analysis["errors"] == 0
-        assert analysis["stats"]["suppressed_races"] > 0
+        with pytest.raises(ConfigurationError, match="repro analyze"):
+            backend.execute(backend.prepare(wl))
 
     def test_explicit_checker_takes_precedence(self):
         backend = create("smp-engine")
         check = ConcurrencyChecker(strict=True, program="explicit")
-        summary = backend.execute(backend.prepare(SMALL_CC), check=check)
+        summary = backend.execute(backend.prepare(SMALL_CC), hooks=(CheckerHook(check),))
         assert "analysis" not in summary.detail
         assert not check.report().ok()
 

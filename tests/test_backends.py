@@ -373,6 +373,17 @@ class TestEngineOptionErrors:
         with pytest.raises(ConfigurationError, match="sharded runtime was removed"):
             create(backend).run(w)
 
+    @pytest.mark.parametrize("backend", ENGINES)
+    @pytest.mark.parametrize("value", [True, "strict"])
+    def test_retired_check_option_rejected(self, backend, value):
+        """Analysis runs through ``repro analyze`` (a CheckerHook); the
+        old ``check`` option fails through the runner, not silently."""
+        from repro.core.runner import Job, run_jobs
+
+        w = Workload("rank", 2, 1, {"n": 64, "list": "random"}, {"check": value})
+        with pytest.raises(ConfigurationError, match="repro analyze"):
+            run_jobs([Job(w, backend)], workers=1, cache=False)
+
     def _rank(self, engine_kwargs):
         return Workload("rank", 2, 1, {"n": 64, "list": "random"},
                         {"streams_per_proc": 8, "engine_kwargs": engine_kwargs})
@@ -383,6 +394,11 @@ class TestEngineOptionErrors:
     def test_unknown_engine_kwarg_names_the_machine(self, backend, machine):
         with pytest.raises(ConfigurationError, match=f"bad {machine} engine config"):
             create(backend).run(self._rank({"bogus": 1}))
+
+    @pytest.mark.parametrize("key", ["p", "hooks", "session"])
+    def test_engine_kwargs_cannot_set_run_arguments(self, key):
+        with pytest.raises(ConfigurationError, match=f"engine_kwargs cannot set {key}"):
+            create("mta-engine").run(self._rank({key: 2}))
 
     @pytest.mark.parametrize("backend", ["mta-engine", "mta-next-engine"])
     @pytest.mark.parametrize("engine_kwargs", [5, "mem_latency=5", [1, 2]])

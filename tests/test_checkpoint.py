@@ -58,10 +58,11 @@ from tests.test_sim_fuzz import _fuzz_programs, _gen_of, _report_blob
 # ---------------------------------------------------------------------------
 
 
-def build_mta(record=False, session=None):
+def build_mta(record=False, session=None, **engine_kw):
     """A small MTA workload covering every stateful construct: counters,
-    barriers, phases, full/empty sync, run_block chains, shared arrays."""
-    eng = MTAEngine(p=2, record=record, session=session)
+    barriers, phases, full/empty sync, run_block chains, shared arrays.
+    ``engine_kw`` (``tier``, ``hooks``) go to the engine."""
+    eng = MTAEngine(p=2, record=record, session=session, **engine_kw)
     arr = np.zeros(64, dtype=np.int64)
 
     def worker(wid):
@@ -87,8 +88,8 @@ def build_mta(record=False, session=None):
     return eng, arr
 
 
-def build_smp(record=False, session=None):
-    eng = SMPEngine(p=4, record=record, session=session)
+def build_smp(record=False, session=None, **engine_kw):
+    eng = SMPEngine(p=4, record=record, session=session, **engine_kw)
     arr = np.zeros(64, dtype=np.int64)
 
     def prog(pid):
@@ -157,18 +158,18 @@ _PAUSES = {"mta": (1, 50, 200), "smp": (1, 20, 80)}
 def test_roundtrip_report_and_memory(machine, tier, which):
     pause_at = _PAUSES[machine][which]
     build = _BUILDERS[machine]
-    eng0, arr0 = build()
-    rep0 = eng0.run("test", tier=tier)
+    eng0, arr0 = build(tier=tier)
+    rep0 = eng0.run("test")
 
-    eng1, _ = build(record=True)
-    state = _pause_state(eng1, pause_at, tier=tier)
+    eng1, _ = build(record=True, tier=tier)
+    state = _pause_state(eng1, pause_at)
     assert state is not None, "workload finished before the pause boundary"
 
     # the process boundary: the snapshot must survive serialization
     blob = pickle.dumps(state)
-    eng2, arr2 = build()
+    eng2, arr2 = build(tier=tier)
     eng2.resume(pickle.loads(blob))
-    rep2 = eng2.run("IGNORED", tier=tier)  # resumed runs keep their name
+    rep2 = eng2.run("IGNORED")  # resumed runs keep their name
     assert _report_blob(rep2) == _report_blob(rep0)
     assert np.array_equal(arr2, arr0)
 
@@ -180,22 +181,19 @@ def test_roundtrip_hook_event_stream(machine, tier):
     the uninterrupted event stream — ``on_run_start`` is not re-emitted
     and no boundary event is doubled or dropped."""
     build = _BUILDERS[machine]
-    eng0, _ = build()
     whole = _LogHook()
-    eng0.kernel.bus.add(whole)
-    rep0 = eng0.run("test", tier=tier)
+    eng0, _ = build(tier=tier, hooks=(whole,))
+    rep0 = eng0.run("test")
 
-    eng1, _ = build(record=True)
     prefix = _LogHook()
-    eng1.kernel.bus.add(prefix)
-    state = _pause_state(eng1, 50, tier=tier)
+    eng1, _ = build(record=True, tier=tier, hooks=(prefix,))
+    state = _pause_state(eng1, 50)
     assert state is not None
 
-    eng2, _ = build()
     tail = _LogHook()
-    eng2.kernel.bus.add(tail)
+    eng2, _ = build(tier=tier, hooks=(tail,))
     eng2.resume(pickle.loads(pickle.dumps(state)))
-    rep2 = eng2.run("IGNORED", tier=tier)
+    rep2 = eng2.run("IGNORED")
     assert prefix.events + tail.events == whole.events
     assert rep2.name == rep0.name == "test"
 
@@ -236,7 +234,7 @@ def test_resume_log_packs_tids_on_both_sides_of_256(n_threads, dtype):
 # ---------------------------------------------------------------------------
 
 
-def _fuzz_engine(machine, seed, record=False):
+def _fuzz_engine(machine, seed, record=False, tier="auto"):
     """Deterministic engine + matched fuzz programs for ``seed`` —
     identical construction on every call, which is exactly what restore
     relies on (the workload is rebuilt, not unpickled)."""
@@ -250,9 +248,10 @@ def _fuzz_engine(machine, seed, record=False):
             lookahead=int(rng.integers(0, 4)),
             max_outstanding=int(rng.integers(1, 5)),
             record=record,
+            tier=tier,
         )
     else:
-        eng = SMPEngine(p=len(progs), record=record)
+        eng = SMPEngine(p=len(progs), record=record, tier=tier)
     for addr in range(8):
         eng.set_counter(addr, 0)
     if with_barrier:
@@ -284,19 +283,18 @@ def _fuzz_engine(machine, seed, record=False):
     tier=st.sampled_from(["interpreted", "vector"]),
 )
 def test_roundtrip_property_fuzzed_programs(seed, pause_at, machine, tier):
-    rep0 = _fuzz_engine(machine, seed).run("fuzz", 10_000_000, tier=tier)
+    rep0 = _fuzz_engine(machine, seed, tier=tier).run("fuzz", 10_000_000)
     state = _pause_state(
-        _fuzz_engine(machine, seed, record=True),
+        _fuzz_engine(machine, seed, record=True, tier=tier),
         pause_at,
         name="fuzz",
         budget=10_000_000,
-        tier=tier,
     )
     if state is None:
         return  # run shorter than the first boundary: nothing to resume
-    eng2 = _fuzz_engine(machine, seed)
+    eng2 = _fuzz_engine(machine, seed, tier=tier)
     eng2.resume(pickle.loads(pickle.dumps(state)))
-    rep2 = eng2.run("IGNORED", 10_000_000, tier=tier)
+    rep2 = eng2.run("IGNORED", 10_000_000)
     assert _report_blob(rep2) == _report_blob(rep0)
 
 

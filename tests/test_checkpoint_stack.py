@@ -6,28 +6,31 @@ Layers covered, top to bottom:
   auto-resume from the newest artifact, explicit (strict) resume,
   ``fresh``, stale-artifact skipping, and the checker incompatibility;
 * **cache** — ``SweepCache.key_for`` ignores the ``checkpoint`` option
-  (resumed jobs share keys and records with uninterrupted ones) and the
-  LRU prune over checkpoint artifacts;
-* **runner** — a cancelled sweep drains the in-flight job into a
-  checkpoint, and resubmitting reuses cache entries *and* checkpoints
-  without recomputing, byte-identical to an uninterrupted sweep;
+  (resumed jobs share keys and records with uninterrupted ones), and
+  ``CheckpointStore`` owns the artifact root (``<cache root>/checkpoints``
+  by default) and their LRU prune;
+* **runner** — artifacts default to the cache root; a cancelled sweep
+  drains the in-flight job into a checkpoint, and resubmitting reuses
+  cache entries *and* checkpoints without recomputing, byte-identical
+  to an uninterrupted sweep;
 * **service protocol / server** — ``checkpoint`` / ``resume_from``
   parsing, submission-key stability and separation, server-default
   merging;
 * **CLI** — ``repro run --checkpoint-every/--resume``, ``repro
-  checkpoint ls/info/rm``, ``repro cache --prune --max-checkpoints``,
-  and the ``ckpt`` column of ``repro backends``.
+  checkpoint ls/info/rm``, ``repro cache --prune --max-checkpoints``
+  (artifacts land under ``--cache-dir``), and the ``ckpt`` column of
+  ``repro backends``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import ConcurrencyChecker
 from repro.backends import create, describe
 from repro.backends.base import Workload
 from repro.cli import main
@@ -41,7 +44,8 @@ from repro.service.protocol import (
     submission_key,
 )
 from repro.service.server import ExperimentService
-from repro.sim.checkpoint import CheckpointStore
+from repro.sim import CheckerHook
+from repro.sim.checkpoint import CheckpointStore, default_checkpoint_root
 
 # ---------------------------------------------------------------------------
 # backend layer: the ``checkpoint`` workload option
@@ -117,11 +121,10 @@ def test_backend_skips_stale_artifacts_with_warning(tmp_path, capsys):
 
 def test_checkpoint_incompatible_with_concurrency_checker(tmp_path):
     backend = create("mta-engine")
-    wl = _rank_workload(
-        "mta-engine", checkpoint={"every": 200, "dir": str(tmp_path)}, check="on"
-    )
+    wl = _rank_workload("mta-engine", checkpoint={"every": 200, "dir": str(tmp_path)})
+    hooks = (CheckerHook(ConcurrencyChecker()),)
     with pytest.raises(ConfigurationError, match="concurrency analysis"):
-        backend.run(wl)
+        backend.execute(backend.prepare(wl), hooks=hooks)
 
 
 def test_engine_backends_advertise_checkpoint_capability():
@@ -152,10 +155,11 @@ def test_cache_key_ignores_checkpoint_option():
 
 def test_prune_checkpoints_lru(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-    cache = SweepCache(tmp_path)
-    root = cache.checkpoint_root()
-    assert root == tmp_path / "checkpoints"
-    group = root / "job0"
+    store = CheckpointStore(default_checkpoint_root(tmp_path))
+    assert store.root == tmp_path / "checkpoints"
+    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "env"))
+    assert default_checkpoint_root(tmp_path) == tmp_path / "env"  # env wins
+    group = store.root / "job0"
     group.mkdir(parents=True)
     now = time.time()
     for i in range(5):
@@ -163,18 +167,18 @@ def test_prune_checkpoints_lru(tmp_path, monkeypatch):
         p.write_bytes(b"x" * 100)
         os.utime(p, (now + i, now + i))  # distinct mtimes, oldest first
 
-    assert len(cache.checkpoint_entries()) == 5
-    assert cache.checkpoint_size_bytes() == 500
+    files = store.files()
+    assert len(files) == 5
+    assert sum(size for _, _, size in files) == 500
 
-    evicted, freed = cache.prune_checkpoints(max_entries=2)
+    evicted, freed = store.prune(max_entries=2)
     assert (evicted, freed) == (3, 300)
-    assert cache.evictions == 3
     survivors = sorted(p.name for p in group.glob("*.ckpt"))
     assert survivors == [f"{i:064x}.ckpt" for i in (3, 4)]  # newest kept
 
-    evicted, freed = cache.prune_checkpoints(max_bytes=50)
+    evicted, freed = store.prune(max_bytes=50)
     assert evicted == 2 and not list(group.glob("*.ckpt"))
-    assert cache.prune_checkpoints() == (0, 0)  # no caps: no-op
+    assert store.prune() == (0, 0)  # no caps: no-op
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +200,19 @@ def _jobs():
         )
         for seed in (1, 2)
     ]
+
+
+def test_runner_checkpoints_default_to_cache_root(tmp_path, monkeypatch):
+    """Without a ``dir``, run_jobs (behind run, sweep and serve) puts a
+    job's artifacts under its cache root; $REPRO_CHECKPOINT_DIR wins."""
+    monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+    job = Job(workload=_rank_workload(), backend="smp-engine")
+    run_jobs([job], cache=SweepCache(tmp_path / "c1"), checkpoint={"every": 200})
+    assert list((tmp_path / "c1" / "checkpoints").glob("*/*.ckpt"))
+    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "env"))
+    run_jobs([job], cache=SweepCache(tmp_path / "c2"), checkpoint={"every": 200})
+    assert list((tmp_path / "env").glob("*/*.ckpt"))
+    assert not (tmp_path / "c2" / "checkpoints").exists()
 
 
 def test_cancelled_sweep_resumes_without_recomputing(tmp_path, capsys):
@@ -329,6 +346,8 @@ def test_server_merges_checkpoint_defaults():
         ExperimentService(checkpoint_every=0)
 
 
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -388,6 +407,32 @@ def test_cli_cache_prune_checkpoints(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert len(store.entries()) == 1
     assert "checkpoint" in out
+
+
+def test_cli_checkpoints_land_under_cache_dir(tmp_path, monkeypatch, capsys):
+    """Without --checkpoint-dir, a command's artifacts live under its
+    --cache-dir, where ``repro cache`` lists and prunes them."""
+    monkeypatch.chdir(tmp_path)  # the default cache root must stay empty
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+    cache_dir = tmp_path / "mycache"
+    assert main(
+        _RUN_ARGS + ["--cache-dir", str(cache_dir), "--checkpoint-every", "200"]
+    ) == 0
+    store = CheckpointStore(cache_dir / "checkpoints")
+    total = len(store.entries())
+    assert total >= 1
+    assert not (tmp_path / ".repro-cache").exists()
+    capsys.readouterr()
+
+    assert main(["cache", "--cache-dir", str(cache_dir)]) == 0
+    out = capsys.readouterr().out
+    assert f"checkpoints at {store.root}: {total} artifact(s)" in out
+
+    argv = ["cache", "--cache-dir", str(cache_dir), "--prune", "--max-checkpoints", "0"]
+    assert main(argv) == 0
+    assert f"pruned {total} checkpoint artifact(s)" in capsys.readouterr().out
+    assert not list(store.root.glob("*/*.ckpt"))
 
 
 def test_cli_backends_lists_checkpoint_column(capsys):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim import TracerHook
 
 
 def _run_record(capsys, *argv):
@@ -203,7 +204,7 @@ def _direct_rank_mta(tracer):
     from repro.lists.programs import simulate_mta_list_ranking
 
     return simulate_mta_list_ranking(
-        random_list(256, 0), p=2, streams_per_proc=8, tracer=tracer
+        random_list(256, 0), p=2, streams_per_proc=8, hooks=(TracerHook(tracer),)
     )
 
 
@@ -211,7 +212,7 @@ def _direct_cc_smp(tracer):
     from repro.graphs import random_graph
     from repro.graphs.programs import simulate_smp_cc
 
-    return simulate_smp_cc(random_graph(128, 512, rng=0), p=2, tracer=tracer)
+    return simulate_smp_cc(random_graph(128, 512, rng=0), p=2, hooks=(TracerHook(tracer),))
 
 
 class TestTrace:
@@ -431,6 +432,14 @@ class TestRunCommand:
              "--n", "64", "--opt", "shards=2", "--no-cache"]
         ) == 2
         assert "sharded runtime was removed" in capsys.readouterr().err
+
+    def test_retired_check_option_is_config_error(self, capsys):
+        assert main(
+            ["run", "--workload", "cc", "--backend", "smp-engine",
+             "--n", "64", "--opt", "check=1", "--no-cache"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "check" in err and "repro analyze" in err and "Traceback" not in err
 
     def test_scalar_engine_kwargs_is_config_error(self, capsys):
         assert main(

@@ -18,33 +18,34 @@ from repro.graphs.programs import simulate_mta_cc, simulate_smp_cc
 from repro.lists import random_list
 from repro.lists.programs import simulate_mta_list_ranking, simulate_smp_list_ranking
 from repro.obs import Tracer, jsonl_dumps
+from repro.sim import TracerHook
 
 
 def _run_rank_mta():
     nxt = random_list(400, 11)
     t = Tracer(level="op")
-    sim = simulate_mta_list_ranking(nxt, p=2, streams_per_proc=10, tracer=t)
+    sim = simulate_mta_list_ranking(nxt, p=2, streams_per_proc=10, hooks=(TracerHook(t),))
     return sim, t
 
 
 def _run_rank_smp():
     nxt = random_list(400, 11)
     t = Tracer(level="op")
-    sim = simulate_smp_list_ranking(nxt, p=2, rng=11, tracer=t)
+    sim = simulate_smp_list_ranking(nxt, p=2, rng=11, hooks=(TracerHook(t),))
     return sim, t
 
 
 def _run_cc_mta():
     g = random_graph(200, 600, rng=11)
     t = Tracer(level="op")
-    sim = simulate_mta_cc(g, p=2, streams_per_proc=10, tracer=t)
+    sim = simulate_mta_cc(g, p=2, streams_per_proc=10, hooks=(TracerHook(t),))
     return sim, t
 
 
 def _run_cc_smp():
     g = random_graph(200, 600, rng=11)
     t = Tracer(level="op")
-    sim = simulate_smp_cc(g, p=2, tracer=t)
+    sim = simulate_smp_cc(g, p=2, hooks=(TracerHook(t),))
     return sim, t
 
 
@@ -106,8 +107,8 @@ def test_different_seeds_differ():
     nxt_a = random_list(400, 11)
     nxt_b = random_list(400, 12)
     t_a, t_b = Tracer(level="op"), Tracer(level="op")
-    simulate_mta_list_ranking(nxt_a, p=2, streams_per_proc=10, tracer=t_a)
-    simulate_mta_list_ranking(nxt_b, p=2, streams_per_proc=10, tracer=t_b)
+    simulate_mta_list_ranking(nxt_a, p=2, streams_per_proc=10, hooks=(TracerHook(t_a),))
+    simulate_mta_list_ranking(nxt_b, p=2, streams_per_proc=10, hooks=(TracerHook(t_b),))
     assert jsonl_dumps(t_a.events) != jsonl_dumps(t_b.events)
 
 

@@ -33,6 +33,7 @@ import pytest
 
 from repro.backends import create
 from repro.obs import Tracer, chrome_trace_json
+from repro.sim import TracerHook
 from repro.workloads import paper_programs
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -104,6 +105,7 @@ def test_paper_program_chrome_trace_golden(slug, tier):
     identical span boundaries)."""
     workload, backend_name = PROGRAMS[slug]
     tracer = Tracer(level="phase")
+    hooks = (TracerHook(tracer),)
     opt = workload.options
     data = create(backend_name).prepare(workload).data
     if backend_name == "mta-engine":
@@ -113,21 +115,21 @@ def test_paper_program_chrome_trace_golden(slug, tier):
         if workload.kind == "rank":
             from repro.lists.programs import simulate_mta_list_ranking
 
-            simulate_mta_list_ranking(data, p=workload.p, tracer=tracer, **kw)
+            simulate_mta_list_ranking(data, p=workload.p, hooks=hooks, **kw)
         else:
             from repro.graphs.programs import simulate_mta_cc
 
-            simulate_mta_cc(data, p=workload.p, tracer=tracer, **kw)
+            simulate_mta_cc(data, p=workload.p, hooks=hooks, **kw)
     else:
         kw = {} if tier is None else {"tier": tier}
         if workload.kind == "rank":
             from repro.lists.programs import simulate_smp_list_ranking
 
             simulate_smp_list_ranking(data, p=workload.p, rng=workload.seed,
-                                      tracer=tracer, **kw)
+                                      hooks=hooks, **kw)
         else:
             from repro.graphs.programs import simulate_smp_cc
 
-            simulate_smp_cc(data, p=workload.p, tracer=tracer, **kw)
+            simulate_smp_cc(data, p=workload.p, hooks=hooks, **kw)
     _check_bytes(f"equiv_trace_{slug}.json", chrome_trace_json(tracer.events) + "\n",
                  regen_write=tier is None)

@@ -22,7 +22,7 @@ import pathlib
 import pytest
 
 from repro.obs import ContentionProfile, Tracer, jsonl_dumps, read_jsonl
-from repro.sim import MTAEngine, SMPEngine, isa
+from repro.sim import MTAEngine, SMPEngine, TracerHook, isa
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -53,7 +53,7 @@ def _check(name: str, tracer: Tracer) -> None:
 
 def _mta_fa_hotspot() -> tuple:
     t = Tracer(level="op")
-    eng = MTAEngine(p=2, streams_per_proc=2, mem_latency=5, lookahead=2, tracer=t)
+    eng = MTAEngine(p=2, streams_per_proc=2, mem_latency=5, lookahead=2, hooks=(TracerHook(t),))
     eng.set_counter(64, 0)
 
     def worker():
@@ -81,7 +81,7 @@ def test_mta_fa_hotspot_profile():
 
 def test_smp_fa_hotspot_golden():
     t = Tracer(level="op")
-    eng = SMPEngine(p=2, tracer=t)
+    eng = SMPEngine(p=2, hooks=(TracerHook(t),))
     eng.set_counter(64, 0)
 
     def program(proc):
@@ -103,7 +103,7 @@ def test_smp_fa_hotspot_golden():
 
 def _mta_producer_consumer() -> tuple:
     t = Tracer(level="op")
-    eng = MTAEngine(p=1, streams_per_proc=4, mem_latency=5, tracer=t)
+    eng = MTAEngine(p=1, streams_per_proc=4, mem_latency=5, hooks=(TracerHook(t),))
 
     def producer():
         yield isa.compute(10)
@@ -140,7 +140,9 @@ def test_mta_producer_consumer_wait_histogram():
 
 def _mta_barrier_join() -> tuple:
     t = Tracer(level="op")
-    eng = MTAEngine(p=1, streams_per_proc=4, mem_latency=5, barrier_latency=3, tracer=t)
+    eng = MTAEngine(
+        p=1, streams_per_proc=4, mem_latency=5, barrier_latency=3, hooks=(TracerHook(t),)
+    )
     eng.register_barrier("join", 3)
 
     def worker(work):
@@ -168,7 +170,7 @@ def test_mta_barrier_join_stats():
 
 def test_smp_barrier_join_golden():
     t = Tracer(level="op")
-    eng = SMPEngine(p=3, tracer=t)
+    eng = SMPEngine(p=3, hooks=(TracerHook(t),))
 
     def program(proc):
         yield isa.compute(4 * (proc + 1) ** 2)

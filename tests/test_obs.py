@@ -23,7 +23,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.sim import MTAEngine, SMPEngine, isa
+from repro.sim import MTAEngine, SMPEngine, TracerHook, isa
 from repro.sim.stats import PhaseSlice, SimReport
 
 
@@ -236,7 +236,8 @@ class TestEngineIntegration:
     """Tracing against the real engines (tiny programs)."""
 
     def _mta_run(self, tracer=None):
-        eng = MTAEngine(p=1, streams_per_proc=4, mem_latency=5, tracer=tracer)
+        hooks = () if tracer is None else (TracerHook(tracer),)
+        eng = MTAEngine(p=1, streams_per_proc=4, mem_latency=5, hooks=hooks)
         eng.set_counter(100, 0)
 
         def worker():

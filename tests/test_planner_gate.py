@@ -91,22 +91,22 @@ def _walker(base, first_len, second_len):
     yield isa.run_block([isa.load_dep(base + 8 * i) for i in range(second_len)])
 
 
-def _build_walk(record=False):
+def _build_walk(record=False, tier="auto"):
     """16 streams of LD chains; first blocks of unequal length, so a
     window ends with some streams still inside their block."""
-    eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=15, record=record)
+    eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=15, record=record, tier=tier)
     for k in range(16):
         eng.spawn(_walker(k * 4096, 48 + 4 * k, 32))
     return eng
 
 
 def test_run_block_chain_fires_windows_and_matches_interpreted(planner):
-    ref = _build_walk()
-    blob_ref = _report_blob(ref.run("walk", tier="interpreted"))
+    ref = _build_walk(tier="interpreted")
+    blob_ref = _report_blob(ref.run("walk"))
     assert planner["attempts"] == 0  # the interpreted tier never plans
 
     eng = _build_walk()
-    blob = _report_blob(eng.run("walk", tier="auto"))
+    blob = _report_blob(eng.run("walk"))
     assert eng.kernel.tier_used == "vector"
     assert planner["windows"] >= 1
     assert planner["windows"] == eng.kernel.window_stats["windows"]
@@ -115,14 +115,12 @@ def test_run_block_chain_fires_windows_and_matches_interpreted(planner):
 
 def test_resumed_run_block_program_fires_windows_after_resume(planner):
     uninterrupted = _build_walk()
-    blob_ref = _report_blob(uninterrupted.run("walk", tier="auto"))
+    blob_ref = _report_blob(uninterrupted.run("walk"))
     stats_ref = uninterrupted.kernel.window_stats
 
     paused = _build_walk(record=True)
     with pytest.raises(RunPaused) as exc_info:
-        paused.run(
-            "walk", checkpoint_every=400, checkpoint_sink=lambda s: True, tier="auto"
-        )
+        paused.run("walk", checkpoint_every=400, checkpoint_sink=lambda s: True)
     state = pickle.loads(pickle.dumps(exc_info.value.state))
     # the pause lands with streams inside their blocks, so the resumed
     # loop starts from restored blocks, not ones it bound itself
@@ -131,7 +129,7 @@ def test_resumed_run_block_program_fires_windows_after_resume(planner):
 
     eng = _build_walk()
     eng.resume(state)
-    blob = _report_blob(eng.run("IGNORED", tier="auto"))
+    blob = _report_blob(eng.run("IGNORED"))
     assert planner["windows"] > before["windows"]
     assert eng.kernel.window_stats["windows"] > state["window_stats"]["windows"]
     # the resumed run fires exactly the windows the uninterrupted one did

@@ -93,8 +93,3 @@ class TestPredictPhases:
         assert alpha.t_m == 0.0 and beta.t_m > 0.0
         assert alpha.t_c > 0.0 and beta.t_c > 0.0
         assert alpha.b == 1 and beta.b == 1
-
-    def test_prediction_state_roundtrip(self):
-        for pr in MTAMachine(p=2).predict_phases(STEPS):
-            clone = PhasePrediction.from_state(pr.to_state())
-            assert clone == pr

@@ -178,6 +178,15 @@ class TestBasics:
         assert final["error"]["code"] == "execution_error"
         assert "'scale'" in final["error"]["message"]
 
+    def test_retired_check_option_is_execution_error(self, harness):
+        c = harness().client()
+        body = rank_body(n=64, backend="smp-engine")
+        body["workload"]["options"] = {"check": True}
+        final = c.wait(c.submit(body)["id"], timeout=30)
+        assert final["state"] == "failed"
+        assert final["error"]["code"] == "execution_error"
+        assert "repro analyze" in final["error"]["message"]
+
     def test_malformed_machine_config_is_execution_error(self, harness):
         c = harness().client()
         body = rank_body(backend_options={"config": {"stream_overlap": 0}})

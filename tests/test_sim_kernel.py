@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.arch.memory import AddressSpace
 from repro.backends import create, describe, register_machine
+from repro.analysis import ConcurrencyChecker
 from repro.errors import ConfigurationError, WatchdogExceeded
+from repro.obs import Tracer
 from repro.sim import HOOK_EVENTS, Engine, HookBus, MTAEngine, SMPEngine, isa
 from repro.sim.mta_next import MTANextEngine, MTANextMachine
 
@@ -49,28 +52,31 @@ class TestHookBus:
             assert bus.listeners(event) is None
 
     def test_listeners_filter_by_implemented_subset(self):
-        bus = HookBus()
         hook = _EndOnly()
-        bus.add(hook)
+        bus = HookBus((hook,))
         assert bus.listeners("on_op") is None
         (fn,) = bus.listeners("end_run")
         fn("report")
         assert hook.reports == ["report"]
 
-    def test_add_invalidates_listener_cache(self):
-        bus = HookBus()
-        assert bus.listeners("end_run") is None  # cached as disabled
-        bus.add(_EndOnly())
-        assert bus.listeners("end_run") is not None
+    def test_hooks_fixed_at_construction(self):
+        """The hook set is the constructor's: nothing attaches later, so
+        the kernel reads its listener tuples once."""
+        hook = _EndOnly()
+        bus = HookBus([hook])
+        assert bus.hooks == (hook,)
+        assert not hasattr(bus, "add")
+        assert not bus.per_op
+        assert HookBus((_Recorder(),)).per_op  # an on_op subscriber
+        eng = MTAEngine(p=1, hooks=(hook,))
+        assert eng.kernel.bus.hooks == (hook,)
 
     def test_fan_out_preserves_attach_order(self):
-        bus = HookBus()
         order = []
         first, second = _EndOnly(), _EndOnly()
         first.end_run = lambda r: order.append("first")
         second.end_run = lambda r: order.append("second")
-        bus.add(first)
-        bus.add(second)
+        bus = HookBus((first, second))
         bus.emit("end_run", None)
         assert order == ["first", "second"]
 
@@ -80,6 +86,9 @@ class TestHookBus:
         eng.register_barrier("b", 2)
         eng.set_counter(7, 0)
         eng.set_full(9, 5)
+        space = AddressSpace()
+        space.alloc("x", 4)
+        eng.declare_memory(space, {"x": "benign"})
 
         def prog():
             yield isa.compute(1)
@@ -98,6 +107,7 @@ class TestHookBus:
         assert "register_barrier" in names
         assert "init_counter" in names
         assert "init_full" in names
+        assert ("declare_memory", (space, {"x": "benign"})) in rec.events
         # run events
         assert "on_run_start" in names
         assert "on_op" in names
@@ -213,6 +223,11 @@ def test_engine_facade_contract(engine_cls, kind):
     and ``spawn`` + ``run(budget=)`` trips the kernel watchdog."""
     with pytest.raises(ConfigurationError, match=f"bad {kind} engine config"):
         engine_cls(p=1, bogus=1)
+    # instrumentation arrives only as hooks=(TracerHook(t), CheckerHook(c))
+    with pytest.raises(ConfigurationError, match="tracer"):
+        engine_cls(p=1, tracer=Tracer())
+    with pytest.raises(ConfigurationError, match="check"):
+        engine_cls(p=1, check=ConcurrencyChecker())
     eng = engine_cls(p=1)
     assert isinstance(eng, Engine)
     assert eng.model.kind == kind and eng.p == 1

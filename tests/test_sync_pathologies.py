@@ -14,7 +14,7 @@ from tests import racy_programs as rp
 from repro.analysis import ConcurrencyChecker
 from repro.arch.memory import AddressSpace
 from repro.errors import DeadlockError
-from repro.sim import MTAEngine, isa
+from repro.sim import CheckerHook, MTAEngine, isa
 from repro.sim.smp_engine import SMPEngine
 
 #: Far below the engines' defaults: deadlock detection is structural
@@ -82,7 +82,7 @@ class TestSMPPathologies:
 
     def test_checker_diagnoses_smp_barrier_mismatch(self):
         check = ConcurrencyChecker(program="lopsided")
-        eng = SMPEngine(p=2, check=check)
+        eng = SMPEngine(p=2, hooks=(CheckerHook(check),))
         self._lopsided(eng)
         with pytest.raises(DeadlockError):
             eng.run("stuck", budget=TIGHT_BUDGET)

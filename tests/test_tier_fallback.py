@@ -9,12 +9,11 @@ The contract (``docs/SIMULATION.md``, "Execution tiers"):
 * An explicit ``tier="vector"`` that conflicts with either requirement
   raises :class:`~repro.errors.ConfigurationError` — never a silent
   downgrade.
-* A hook subscribed *mid-run* demotes a running vector-tier simulation
-  to interpreted at the next scheduling boundary, without dropping or
-  duplicating a single cycle or event (the Hypothesis properties below
-  pin this for every :data:`~repro.sim.HOOK_EVENTS` entry).
-* ``repro analyze`` always executes on the interpreted tier, whatever
-  tier the workload requested.
+* Ops the vector tier cannot fast-forward run per op inside a vector
+  run: fallback is a window boundary, not a tier change.
+* A workload run under a per-op hook — ``repro analyze``'s checker,
+  ``repro trace --level op``'s tracer — always executes on the
+  interpreted tier, whatever tier the workload requested.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from hypothesis import strategies as st
 from repro.analysis import ConcurrencyChecker
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
-from repro.sim import HOOK_EVENTS, MTAEngine, SMPEngine, isa
-from repro.sim.kernel import _FIDELITY_EVENTS
+from repro.sim import CheckerHook, MTAEngine, SMPEngine, TracerHook, isa
 
 from .test_sim_fuzz import _report_blob
 
@@ -39,21 +37,21 @@ from .test_sim_fuzz import _report_blob
 
 @pytest.mark.parametrize("engine_cls", [MTAEngine, SMPEngine])
 def test_explicit_vector_with_checker_raises(engine_cls):
-    eng = engine_cls(p=1, check=ConcurrencyChecker(), tier="vector")
+    eng = engine_cls(p=1, hooks=(CheckerHook(ConcurrencyChecker()),), tier="vector")
     eng.spawn(_gen([isa.compute(1)]))
     with pytest.raises(ConfigurationError, match="per-op instrumentation"):
         eng.run("t")
 
 
 def test_explicit_vector_with_op_tracer_raises():
-    eng = MTAEngine(p=1, tracer=Tracer(level="op"), tier="vector")
+    eng = MTAEngine(p=1, hooks=(TracerHook(Tracer(level="op")),), tier="vector")
     eng.spawn(_gen([isa.compute(1)]))
     with pytest.raises(ConfigurationError, match="per-op instrumentation"):
         eng.run("t")
 
 
 def test_auto_with_checker_runs_interpreted():
-    eng = MTAEngine(p=1, check=ConcurrencyChecker())
+    eng = MTAEngine(p=1, hooks=(CheckerHook(ConcurrencyChecker()),))
     eng.spawn(_gen([isa.run_block([isa.load_dep(8 * i) for i in range(16)])]))
     eng.run("t")
     assert eng.kernel.tier_used == "interpreted"
@@ -84,7 +82,7 @@ def test_mta_next_backend_is_interpreted_only():
 
 
 def test_phase_level_tracer_keeps_vector_tier():
-    eng = MTAEngine(p=1, tracer=Tracer(level="phase"), tier="vector")
+    eng = MTAEngine(p=1, hooks=(TracerHook(Tracer(level="phase")),), tier="vector")
     for _ in range(4):
         eng.spawn(_gen([isa.run_block([isa.load_dep(8 * i) for i in range(64)])]))
     eng.run("t")
@@ -93,7 +91,7 @@ def test_phase_level_tracer_keeps_vector_tier():
 
 
 # ---------------------------------------------------------------------------
-# Mid-run subscription: demote without dropping or duplicating anything
+# Per-op fallback inside a vector run
 # ---------------------------------------------------------------------------
 
 
@@ -107,15 +105,9 @@ def _gen(ops):
 
 
 def _canon_arg(a):
-    if isinstance(a, (int, float, str, bool, type(None))):
-        return a
     if isinstance(a, (list, tuple)):
         return [_canon_arg(x) for x in a]
-    if hasattr(a, "cycles") and hasattr(a, "issued"):  # SimReport
-        return _report_blob(a)
-    if hasattr(a, "item"):  # numpy scalar
-        return a.item()
-    return type(a).__name__
+    return a
 
 
 def _probe(event, log):
@@ -127,27 +119,10 @@ def _probe(event, log):
     return type("Probe", (), {event: staticmethod(record)})()
 
 
-class _SubscribeOnTrigger:
-    """Attaches ``probe`` to the bus at the first ``trigger`` phase."""
-
-    def __init__(self, probe):
-        self.probe = probe
-        self.bus = None
-        self.fired = False
-
-    def hook_bus(self, bus):  # wired manually below
-        self.bus = bus
-
-    def on_phase(self, tid, name):
-        if name == "trigger" and not self.fired:
-            self.fired = True
-            self.bus.add(self.probe)
-
-
 def _mk_programs(seed):
-    """Stream programs with a ``trigger`` phase early and, after it, at
-    least one of everything an event could observe: plain ops, LD-window
-    blocks, fetch-adds, a matched sync pair, phases, and a barrier."""
+    """Stream programs with at least one of everything an event could
+    observe: plain ops, LD-window blocks, fetch-adds, a matched sync
+    pair, phases, and a barrier."""
     rng = np.random.default_rng(seed)
 
     def ld_block():
@@ -158,7 +133,7 @@ def _mk_programs(seed):
 
     lead = [
         isa.compute(int(rng.integers(1, 4))),
-        isa.phase("trigger"),
+        isa.phase("before"),
         ld_block(),
         isa.fetch_add(0, 1),
         isa.sync_load_consume(900),
@@ -179,48 +154,13 @@ def _mk_programs(seed):
     return progs
 
 
-def _run_with_midrun_probe(tier, event, seed):
-    progs = _mk_programs(seed)
-    log = []
-    trigger = _SubscribeOnTrigger(_probe(event, log))
-    eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=12, tier=tier,
-                    hooks=(trigger,))
-    trigger.hook_bus(eng.kernel.bus)
-    eng.set_counter(0, 0)
-    eng.register_barrier("z", len(progs))
-    for ops in progs:
-        eng.spawn(_gen(ops))
-    report = eng.run("t", 5_000_000)
-    return _report_blob(report), log, eng.kernel
-
-
-@settings(max_examples=60, deadline=None)
-@given(event=st.sampled_from(HOOK_EVENTS),
-       seed=st.integers(min_value=0, max_value=2**31))
-def test_midrun_subscription_transitions_exactly(event, seed):
-    """Subscribing any bus event mid-run: the vector tier demotes iff the
-    event demands per-op fidelity, and the late subscriber sees the
-    *identical* event sequence either way — nothing dropped, nothing
-    duplicated, and the SimReport stays byte-identical."""
-    blob_i, log_i, _ = _run_with_midrun_probe("interpreted", event, seed)
-    blob_v, log_v, kernel = _run_with_midrun_probe("vector", event, seed)
-    assert blob_i == blob_v
-    assert log_i == log_v
-    assert kernel.tier_used == "vector"
-    assert kernel.tier_demoted == (event in _FIDELITY_EVENTS)
-    if event == "on_op":
-        # the lead stream still has ops in flight at the trigger, so a
-        # demotion that dropped or replayed ops could not match
-        assert log_v, "probe subscribed but observed no ops"
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_nonvectorizable_ops_fall_back_per_op(seed):
     """FA, sync words, barriers, and phases interleaved with LD blocks:
     the fast tier executes those per-op (windows end at the boundary)
-    with byte-identical results, and never demotes — fallback is a
-    window boundary, not a tier change."""
+    with byte-identical results and stays the vector tier — fallback is
+    a window boundary, not a tier change."""
     progs = _mk_programs(seed)
     blobs = {}
     for tier in ("interpreted", "vector"):
@@ -232,7 +172,6 @@ def test_nonvectorizable_ops_fall_back_per_op(seed):
         blobs[tier] = _report_blob(eng.run("t", 5_000_000))
         if tier == "vector":
             assert eng.kernel.tier_used == "vector"
-            assert not eng.kernel.tier_demoted
     assert blobs["interpreted"] == blobs["vector"]
 
 
@@ -243,7 +182,7 @@ def test_run_block_expansion_visible_per_op():
     seen = []
     probe = _probe("on_op", seen)
     block = [isa.load_dep(8 * i) for i in range(10)] + [isa.compute(2)]
-    eng = MTAEngine(p=1, check=ConcurrencyChecker(), hooks=(probe,))
+    eng = MTAEngine(p=1, hooks=(CheckerHook(ConcurrencyChecker()), probe))
     eng.spawn(_gen([isa.run_block(block), isa.store(4)]))
     eng.run("t")
     assert eng.kernel.tier_used == "interpreted"
@@ -252,7 +191,7 @@ def test_run_block_expansion_visible_per_op():
 
 
 # ---------------------------------------------------------------------------
-# ``repro analyze`` regression: analysis always interprets
+# Workload runs: a per-op hook always interprets
 # ---------------------------------------------------------------------------
 
 
@@ -277,3 +216,28 @@ def test_analyze_forces_interpreted_tier(monkeypatch):
     report = analyze_workload(workload, "mta-engine")
     assert used and all(t == "interpreted" for t in used)
     assert report is not None
+
+
+@pytest.mark.parametrize("backend_name", ["mta-engine", "smp-engine"])
+def test_op_level_trace_forces_interpreted_tier(monkeypatch, backend_name):
+    """``repro trace --level op --opt tier=vector``: the op-level tracer
+    is a per-op hook, so the workload runs interpreted instead of
+    failing on the explicit tier, with every op traced."""
+    from repro.backends import Workload, create
+    from repro.sim.kernel import SimKernel
+
+    used = []
+    orig = SimKernel.run
+
+    def spy(self, *args, **kwargs):
+        result = orig(self, *args, **kwargs)
+        used.append(self.tier_used)
+        return result
+
+    monkeypatch.setattr(SimKernel, "run", spy)
+    backend = create(backend_name)
+    tracer = Tracer(level="op")
+    workload = Workload("rank", 2, 0, {"n": 200}, {"tier": "vector"})
+    summary = backend.execute(backend.prepare(workload), hooks=(TracerHook(tracer),))
+    assert used and all(t == "interpreted" for t in used)
+    assert len(tracer.events) > summary.issued
