@@ -38,7 +38,8 @@ from typing import Any, Mapping
 from ..errors import ConfigurationError
 
 __all__ = [
-    "Workload", "RunHandle", "Backend", "canonical_json", "int_value", "override_config",
+    "Workload", "RunHandle", "Backend", "CHECKPOINT_KEYS", "canonical_json",
+    "checkpoint_spec", "int_value", "override_config",
 ]
 
 
@@ -59,9 +60,40 @@ def _jsonable(value):
     return value
 
 
+#: Element types ``_jsonable`` leaves as they are.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+
+
+def _plain(value) -> bool:
+    """Whether ``value`` holds only str-keyed dicts, lists, tuples and
+    str/int/float/bool/None, which the C encoder writes exactly as
+    ``_jsonable`` would normalize them.  A scalar-only container is
+    cleared at C speed by the type set of its elements."""
+    if isinstance(value, dict):
+        if not _STR.issuperset(map(type, value)):
+            return False
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return type(value) in _SCALARS
+    return _SCALARS.issuperset(map(type, value)) or all(map(_plain, value))
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON for hashing: sorted keys, no whitespace."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON for hashing: sorted keys, no whitespace.
+
+    The bytes are the hash input of ``SweepCache.key_for``,
+    ``derive_seed``, service digests and checkpoint keys, and the text
+    of every stored record, so they must never change: they are
+    ``json.dumps(_jsonable(obj), sort_keys=True, separators=(",",
+    ":"))``.  One C-encoder pass writes them; ``_jsonable`` copies
+    ``obj`` first only when it holds NumPy values or a dict key that
+    is not a str.
+    """
+    return _ENCODER.encode(obj if _plain(obj) else _jsonable(obj))
 
 
 _REQUIRED = object()
@@ -86,6 +118,37 @@ def int_value(mapping: Mapping[str, Any], key: str, default: Any = _REQUIRED):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{key}={value!r} is not an integer")
     return int(value)
+
+
+#: Keys a client may set in a checkpoint spec.  The sweep runner adds
+#: ``key`` (the job's artifact key) and ``_stop`` (its drain hook).
+CHECKPOINT_KEYS = frozenset({"every", "dir", "resume", "fresh"})
+
+
+def checkpoint_spec(spec, keys=CHECKPOINT_KEYS) -> dict:
+    """``spec`` as a checkpoint spec dict, checked.
+
+    A spec is a mapping with no key outside ``keys``, whose ``every`` is
+    a positive integer and whose ``dir``, ``resume`` and ``key`` are
+    non-empty strings; each may be absent or None.  Anything else raises
+    :class:`~repro.errors.ConfigurationError`.  The service applies the
+    same rules to a submission's ``checkpoint`` object.
+    """
+    if not isinstance(spec, Mapping):
+        raise ConfigurationError(f"checkpoint must be a mapping, got {spec!r}")
+    unknown = sorted(str(k) for k in spec if k not in keys)
+    if unknown:
+        raise ConfigurationError(f"unknown checkpoint option(s): {', '.join(unknown)}")
+    every = spec.get("every")
+    if every is not None and (type(every) is not int or every < 1):
+        raise ConfigurationError(f"checkpoint 'every' must be a positive integer, got {every!r}")
+    for key in ("dir", "resume", "key"):
+        value = spec.get(key)
+        if value is not None and (not isinstance(value, str) or not value):
+            raise ConfigurationError(
+                f"checkpoint {key!r} must be a non-empty string, got {value!r}"
+            )
+    return dict(spec)
 
 
 def override_config(config, overrides, what: str):

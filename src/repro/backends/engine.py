@@ -55,7 +55,14 @@ import functools
 from collections.abc import Mapping
 
 from ..errors import ConfigurationError
-from .base import Backend, RunHandle, int_value, override_config
+from .base import (
+    CHECKPOINT_KEYS,
+    Backend,
+    RunHandle,
+    checkpoint_spec,
+    int_value,
+    override_config,
+)
 from .registry import create, register
 
 __all__ = ["SMPEngineBackend", "MTAEngineBackend", "create_engine", "register_machine"]
@@ -303,6 +310,9 @@ def _resolve_session(workload, backend_name: str, hooks=()):
     are skipped with a warning (the run simply starts over).
     """
     spec = workload.option("checkpoint")
+    if spec is None:
+        return None
+    spec = checkpoint_spec(spec, CHECKPOINT_KEYS | {"key", "_stop"})
     if not spec:
         return None
     from ..sim.hooks import HookBus
@@ -319,7 +329,6 @@ def _resolve_session(workload, backend_name: str, hooks=()):
     from ..errors import CheckpointError
     from ..sim.checkpoint import CheckpointSession, CheckpointStore, load_checkpoint
 
-    spec = dict(spec)
     store = CheckpointStore(spec.get("dir"))
     key = spec.get("key")
     if not key:
@@ -346,9 +355,8 @@ def _resolve_session(workload, backend_name: str, hooks=()):
                     f"repro: ignoring stale checkpoint {newest.name}: {exc}",
                     file=sys.stderr,
                 )
-    every = spec.get("every")
     return CheckpointSession(
-        every=int(every) if every else None,
+        every=spec.get("every"),
         store=store,
         job={"key": key},
         resume=resume,

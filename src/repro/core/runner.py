@@ -29,7 +29,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..backends.base import Workload, canonical_json
+from ..backends.base import CHECKPOINT_KEYS, Workload, canonical_json, checkpoint_spec
 from ..errors import ConfigurationError, ReproError
 from .cache import SweepCache
 
@@ -153,7 +153,13 @@ class JobResult:
         return RunSummary.from_dict(self.summary)
 
     def jsonl(self) -> str:
-        return canonical_json(self.record)
+        """The record as one JSON line: ``canonical_json``'s bytes, the
+        stored and hashed form, which must never change.
+
+        ``_execute_payload``'s round trip and cache reads already yield
+        plain JSON, so the record is written as it is.
+        """
+        return json.dumps(self.record, sort_keys=True, separators=(",", ":"))
 
 
 # The serial loop's cancel hook, handed to _execute_payload out of band
@@ -186,9 +192,10 @@ def _execute_payload(payload: dict) -> dict:
     wl_dict = payload["workload"]
     exec_wl = wl_dict
     stop = getattr(_serial_state, "stop", None)
-    if stop is not None and (wl_dict.get("options") or {}).get("checkpoint"):
+    spec = (wl_dict.get("options") or {}).get("checkpoint")
+    if stop is not None and spec and isinstance(spec, Mapping):
         options = dict(wl_dict["options"])
-        options["checkpoint"] = dict(options["checkpoint"], _stop=stop)
+        options["checkpoint"] = dict(spec, _stop=stop)
         exec_wl = dict(wl_dict, options=options)
     backend = create(payload["backend"], **payload["backend_options"])
     workload = _W.from_dict(exec_wl)
@@ -243,7 +250,9 @@ def run_jobs(
         results, with unfinished jobs marked ``cancelled``.
     checkpoint:
         Optional checkpoint spec ``{"every": N, "dir": path, "resume":
-        ref}`` injected into each job's workload as the ``checkpoint``
+        ref}`` (checked by :func:`~repro.backends.base.checkpoint_spec`,
+        which raises :class:`~repro.errors.ConfigurationError`) injected
+        into each job's workload as the ``checkpoint``
         option (keyed by the job's cache key, so a resubmitted sweep
         resumes each job's newest artifact).  ``dir`` defaults to
         ``checkpoints/`` under the cache's root (``$REPRO_CHECKPOINT_DIR``
@@ -263,12 +272,13 @@ def run_jobs(
     if checkpoint is not None:
         from ..sim.checkpoint import default_checkpoint_root
 
+        checkpoint = checkpoint_spec(checkpoint, CHECKPOINT_KEYS | {"key"})
         ckpt_dir = str(default_checkpoint_root(cache.root if cache is not None else None))
 
     def _payload(i: int) -> dict:
         payload = jobs[i].payload()
         if checkpoint is not None:
-            spec = {k: v for k, v in dict(checkpoint).items() if not k.startswith("_")}
+            spec = dict(checkpoint)
             spec.setdefault("key", jobs[i].key())
             spec.setdefault("dir", ckpt_dir)
             options = dict(payload["workload"]["options"])

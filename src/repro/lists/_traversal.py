@@ -4,10 +4,15 @@ Both the Helman–JáJá SMP algorithm (step 3) and the MTA walk algorithm
 (Alg. 1, step 2) do the same thing: starting from a set of *marked*
 nodes that includes the true head, walk every sublist to its next
 marked node, computing each node's within-sublist prefix and recording
-per-walk summaries.  This module implements that traversal once, as a
-round-synchronous vectorized sweep: every active walk advances one node
-per round, so total work is O(n) fancy-indexing with O(max sublist
-length) NumPy dispatches and no per-node Python loop.
+per-walk summaries.  This module implements that traversal once, with
+two host strategies that give identical results.  The number of walks
+picks one (:data:`LOCKSTEP_MIN_WALKS`):
+
+* few walks — Helman–JáJá's s = 8p long sublists, or a small MTA
+  instance — are each chased in plain Python, O(n) list indexing;
+* many walks — the MTA model's min(n/10, 400p) ~10-node walks — advance
+  in a round-synchronous vectorized sweep, one round of NumPy
+  operations per node of the longest sublist.
 
 The traversal also *measures* the memory behaviour the machine models
 need: for every walk, how many of its successor-reads landed at the
@@ -26,7 +31,11 @@ from ..errors import WorkloadError
 from .generate import TAIL
 from .prefix import PrefixOp
 
-__all__ = ["Traversal", "traverse_sublists"]
+__all__ = ["Traversal", "traverse_sublists", "LOCKSTEP_MIN_WALKS"]
+
+#: Walk count from which :func:`traverse_sublists` advances the walks in
+#: lock-step; below it each walk is chased on its own (see docs/MODELS.md).
+LOCKSTEP_MIN_WALKS = 256
 
 
 @dataclass
@@ -104,16 +113,17 @@ def traverse_sublists(
     values: np.ndarray,
     op: PrefixOp,
 ) -> Traversal:
-    """Walk all sublists, choosing the strategy by sublist length.
+    """Walk all sublists, choosing the strategy by the number of walks.
 
-    With many short sublists (the MTA operating point) the walks
-    advance in vectorized lock-step — one NumPy dispatch per round,
-    O(max sublist length) rounds.  With few long sublists (Helman–JáJá
-    uses only 8p of them) lock-step would mean millions of tiny
-    dispatches, so each walk is chased in plain Python instead — O(n)
-    either way, but the constant factors differ by orders of magnitude
-    in opposite regimes.  The two paths are property-tested to be
-    equivalent.
+    Below :data:`LOCKSTEP_MIN_WALKS` walks each one is chased on its
+    own; from there up the walks advance in lock-step.  Lock-step costs
+    one round of about 30 NumPy operations per node of the longest
+    sublist, however many walks there are; the chase costs one
+    plain-Python step per node plus a few NumPy calls per walk.  So few
+    long sublists (Helman–JáJá's 8p) favour the chase and many short
+    ones (the MTA model's) the lock-step.  On random lists of 4K–1M
+    nodes the measured crossover is 128–400 walks (docs/MODELS.md).
+    The two paths are tested to give identical results.
 
     Parameters
     ----------
@@ -127,7 +137,6 @@ def traverse_sublists(
     values, op:
         Per-node values and the associative operator for the prefix.
     """
-    n = len(nxt)
     subheads = np.asarray(subheads, dtype=np.int64)
     s = len(subheads)
     if s == 0:
@@ -135,9 +144,20 @@ def traverse_sublists(
     if len(np.unique(subheads)) != s:
         raise WorkloadError("sublist heads must be unique")
     values = np.asarray(values)
-    if s and n // s > 4096:
-        return _traverse_chase(nxt, subheads, values, op)
+    walk = _traverse_chase if s < LOCKSTEP_MIN_WALKS else _traverse_lockstep
+    return walk(nxt, subheads, values, op)
 
+
+def _traverse_lockstep(
+    nxt: np.ndarray, subheads: np.ndarray, values: np.ndarray, op: PrefixOp
+) -> Traversal:
+    """Round-synchronous sweep: the many-short-sublists strategy.
+
+    Every active walk advances one node per round, so the cost is about
+    30 NumPy operations per node of the longest sublist.
+    """
+    n = len(nxt)
+    s = len(subheads)
     marked = np.zeros(n, dtype=bool)
     marked[subheads] = True
 

@@ -41,9 +41,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..backends.base import Workload, canonical_json
+from ..backends.base import Workload, canonical_json, checkpoint_spec
 from ..core.runner import Job
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 
 __all__ = [
     "ERR_BAD_REQUEST",
@@ -265,31 +265,13 @@ def _parse_checkpoint(body: Mapping[str, Any]) -> dict | None:
     """Validate the optional ``checkpoint`` object and the
     ``resume_from`` shorthand into one spec dict (or None)."""
     spec = body.get("checkpoint")
-    if spec is not None and not isinstance(spec, Mapping):
-        raise ProtocolError(ERR_BAD_REQUEST, "'checkpoint' must be an object")
     out: dict[str, Any] = {}
-    if spec:
-        unknown = set(spec) - {"every", "dir", "resume", "fresh"}
-        if unknown:
-            raise ProtocolError(
-                ERR_BAD_REQUEST,
-                f"unknown checkpoint option(s): {', '.join(sorted(unknown))}",
-            )
-        every = spec.get("every")
-        if every is not None:
-            if not isinstance(every, int) or isinstance(every, bool) or every < 1:
-                raise ProtocolError(
-                    ERR_BAD_REQUEST, "'checkpoint.every' must be a positive integer"
-                )
-            out["every"] = every
-        for key in ("dir", "resume"):
-            if key in spec and spec[key] is not None:
-                if not isinstance(spec[key], str) or not spec[key]:
-                    raise ProtocolError(
-                        ERR_BAD_REQUEST,
-                        f"'checkpoint.{key}' must be a non-empty string",
-                    )
-                out[key] = spec[key]
+    if spec is not None:
+        try:
+            spec = checkpoint_spec(spec)
+        except ConfigurationError as exc:
+            raise ProtocolError(ERR_BAD_REQUEST, str(exc)) from None
+        out = {k: v for k, v in spec.items() if k != "fresh" and v is not None}
         if "fresh" in spec:
             out["fresh"] = bool(spec["fresh"])
     resume_from = body.get("resume_from")

@@ -102,6 +102,45 @@ def test_backend_explicit_resume_and_fresh(tmp_path, capsys):
         backend.run(_rank_workload(checkpoint=dict(spec, resume="ffff" * 16)))
 
 
+_MALFORMED_SPECS = [
+    1,
+    [1, 2],
+    "every=5",
+    {"every": "x"},
+    {"every": 2.5},
+    {"every": 0},
+    {"every": True},
+    {"dir": ""},
+    {"resume": 7},
+    {"key": ""},
+    {"evry": 5},
+]
+
+
+@pytest.mark.parametrize("spec", _MALFORMED_SPECS, ids=repr)
+def test_malformed_checkpoint_option_is_configuration_error(spec, tmp_path):
+    """The option is checked where it is consumed, by the rules the
+    service applies to a submission's ``checkpoint`` object."""
+    job = Job(workload=_rank_workload(checkpoint=spec), backend="smp-engine")
+    with pytest.raises(ConfigurationError, match="checkpoint"):
+        run_jobs([job], cache=False)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec", [s for s in _MALFORMED_SPECS if s != {"key": ""}], ids=repr)
+def test_malformed_run_jobs_checkpoint_is_configuration_error(spec):
+    job = Job(workload=_rank_workload(), backend="smp-engine")
+    with pytest.raises(ConfigurationError, match="checkpoint"):
+        run_jobs([job], cache=False, checkpoint=spec)
+
+
+def test_cli_malformed_checkpoint_option_exits_2(capsys):
+    argv = ["run", "--workload", "rank", "--backend", "smp-engine", "--n", "64",
+            "--p", "2", "--opt", "checkpoint=1", "--no-cache"]
+    assert main(argv) == 2
+    assert "checkpoint must be a mapping" in capsys.readouterr().err
+
+
 def test_backend_skips_stale_artifacts_with_warning(tmp_path, capsys):
     backend = create("smp-engine")
     baseline = backend.run(_rank_workload()).to_dict()

@@ -187,6 +187,16 @@ class TestBasics:
         assert final["error"]["code"] == "execution_error"
         assert "repro analyze" in final["error"]["message"]
 
+    @pytest.mark.parametrize("spec", [1, [1, 2], {"every": "x"}, {"every": 0}])
+    def test_malformed_checkpoint_option_is_execution_error(self, harness, spec):
+        c = harness().client()
+        body = rank_body(n=64, backend="smp-engine")
+        body["workload"]["options"] = {"checkpoint": spec}
+        final = c.wait(c.submit(body)["id"], timeout=30)
+        assert final["state"] == "failed"
+        assert final["error"]["code"] == "execution_error"
+        assert "checkpoint" in final["error"]["message"]
+
     def test_malformed_machine_config_is_execution_error(self, harness):
         c = harness().client()
         body = rank_body(backend_options={"config": {"stream_overlap": 0}})

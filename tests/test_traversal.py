@@ -111,32 +111,66 @@ class TestTraversalErrors:
             traverse_sublists(nxt, np.array([], dtype=np.int64), ones(10), ADD)
 
 
+def _heads(nxt, k, rng):
+    """The list head plus up to ``k`` other distinct nodes."""
+    n = len(nxt)
+    return np.unique(np.concatenate([[head_of(nxt)], rng.choice(n, min(k, n), replace=False)]))
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Counts of the traversal calls each path served."""
+    from repro.lists import _traversal
+
+    counts = {"chase": 0, "lockstep": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in counts:
+        attr = f"_traverse_{name}"
+        monkeypatch.setattr(_traversal, attr, counting(name, getattr(_traversal, attr)))
+    return counts
+
+
 class TestStrategyEquivalence:
     """The lock-step and per-walk-chase paths must be indistinguishable."""
 
-    @pytest.mark.parametrize("op_name", ["ADD", "MAX"])
+    @pytest.mark.parametrize("op_name", ["ADD", "MAX", "ADD-float"])
     def test_chase_matches_lockstep(self, rng, op_name):
         from repro.lists import prefix as prefix_ops
-        from repro.lists._traversal import _traverse_chase
+        from repro.lists._traversal import (
+            LOCKSTEP_MIN_WALKS,
+            _traverse_chase,
+            _traverse_lockstep,
+        )
 
-        op = getattr(prefix_ops, op_name)
-        for _ in range(15):
-            n = int(rng.integers(5, 800))
+        op = getattr(prefix_ops, op_name.split("-")[0])
+        # few walks (the chase's side), and walk counts around the boundary
+        walks = [int(rng.integers(1, 8)) for _ in range(12)]
+        walks += [LOCKSTEP_MIN_WALKS - 2, LOCKSTEP_MIN_WALKS - 1, LOCKSTEP_MIN_WALKS + 40]
+        for k in walks:
+            n = int(rng.integers(max(5, 2 * k), 800 + 4 * k))
             nxt = random_list(n, rng)
-            k = int(rng.integers(1, 8))
-            heads = np.unique(
-                np.concatenate([[head_of(nxt)], rng.choice(n, min(k, n), replace=False)])
-            )
-            values = rng.integers(-100, 100, n)
+            heads = _heads(nxt, k, rng)
+            if op_name == "ADD-float":
+                values = rng.standard_normal(n)
+            else:
+                values = rng.integers(-100, 100, n)
             a = _traverse_chase(nxt, heads, values, op)
-            b = traverse_sublists(nxt, heads, values, op)
+            b = _traverse_lockstep(nxt, heads, values, op)
             for attr in (
                 "local", "sublist_id", "pos", "lengths",
-                "stop_node", "totals", "seq_steps",
+                "stop_node", "totals", "seq_steps", "rounds",
             ):
                 assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+            assert a.local.dtype == b.local.dtype
 
-    def test_long_sublists_dispatch_to_chase(self):
+    def test_long_sublists_dispatch_to_chase(self, paths):
         """Few heads on a big list must not take the round-synchronous path
         (it would need one NumPy dispatch per node)."""
         n = 50_000
@@ -144,6 +178,39 @@ class TestStrategyEquivalence:
         trav = traverse_sublists(nxt, np.array([0, n // 2]), ones(n), ADD)
         assert trav.lengths.sum() == n
         assert trav.rounds == n // 2  # max sublist length, either path
+        assert paths == {"chase": 1, "lockstep": 0}
+
+    def test_walk_count_picks_the_path(self, paths):
+        from repro.lists._traversal import LOCKSTEP_MIN_WALKS
+
+        nxt = ordered_list(4096)  # head 0
+        for k in (LOCKSTEP_MIN_WALKS - 1, LOCKSTEP_MIN_WALKS):
+            traverse_sublists(nxt, np.arange(k) * 16, ones(4096), ADD)
+        assert paths == {"chase": 1, "lockstep": 1}
+
+    @pytest.mark.parametrize("p", [1, 4, 8])
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_helman_jaja_sublists_are_chased(self, rng, paths, n, p):
+        """Helman–JáJá walks s = 8p long sublists: one chase per call."""
+        from repro.lists.helman_jaja import rank_helman_jaja
+
+        nxt = random_list(n, rng)
+        run = rank_helman_jaja(nxt, p, rng=rng)
+        assert np.array_equal(run.ranks, true_ranks(nxt))
+        assert paths == {"chase": 1, "lockstep": 0}
+
+    @pytest.mark.parametrize("p", [1, 4, 8])
+    def test_mta_walks_advance_in_lockstep(self, rng, paths, p):
+        """The MTA model walks min(n/10, 400p) ~10-node sublists."""
+        from repro.lists.mta_ranking import rank_mta
+
+        n = 16384
+        nxt = random_list(n, rng)
+        run = rank_mta(nxt, p)
+        # the list head joins the chosen heads unless it is one of them
+        assert run.stats["nwalks"] - min(n // 10, 400 * p) in (0, 1)
+        assert np.array_equal(run.ranks, true_ranks(nxt))
+        assert paths == {"chase": 0, "lockstep": 1}
 
 
 class TestPrefixOpAccumulate:
