@@ -51,7 +51,11 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if not isinstance(value, (str, bytes)):
         if hasattr(value, "tolist"):  # numpy arrays and scalars
-            return _jsonable(value.tolist())
+            kind = getattr(getattr(value, "dtype", None), "kind", "O")
+            value = value.tolist()
+            # only object and structured arrays hold tuples or NumPy
+            # values; other plain lists are returned without a copy
+            return value if kind not in "OV" and _plain(value) else _jsonable(value)
         if hasattr(value, "item"):
             try:
                 return value.item()
@@ -93,7 +97,13 @@ def canonical_json(obj) -> str:
     ``obj`` first only when it holds NumPy values or a dict key that
     is not a str.
     """
-    return _ENCODER.encode(obj if _plain(obj) else _jsonable(obj))
+    return _ENCODER.encode(_as_plain(obj))
+
+
+def _as_plain(value):
+    """``value`` as :func:`canonical_json` encodes it: itself when
+    ``_plain`` clears it, else its ``_jsonable`` copy."""
+    return value if _plain(value) else _jsonable(value)
 
 
 _REQUIRED = object()

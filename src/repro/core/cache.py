@@ -13,8 +13,18 @@ Layout (under the cache root, default ``.repro-cache/``)::
 
 Records are written atomically (temp file + ``os.replace``) so
 concurrent sweep workers and interrupted runs never leave a partial
-record; a corrupt or unreadable record is treated as a miss and
-overwritten.
+record; an unreadable or unparseable record is treated as a miss and
+overwritten.  The store itself holds any JSON value under a key: the
+sweep runner treats a stored value that is not a record (a JSON object
+holding a ``summary`` object) as a miss as well, and overwrites it with
+the recomputed record.
+
+A record's path is a plain string, ``f"{root}/rows/{key[:2]}/{key}.json"``,
+built without pathlib on every access.  :meth:`~SweepCache.get` reads
+the file once in binary and decodes it with one ``json.loads``, then
+refreshes its mtime through the open file; :meth:`~SweepCache.put`
+writes the bytes of ``json.dumps(record, sort_keys=True,
+separators=(",", ":"))`` in one write.
 
 The key includes :func:`code_version` — a digest over every source
 file of the ``repro`` package — so editing any simulator or kernel
@@ -37,7 +47,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from ..backends.base import canonical_json
+from ..backends.base import _ENCODER, _as_plain
 
 __all__ = ["SweepCache", "code_version", "default_cache_root", "evict_lru", "stat_files"]
 
@@ -138,6 +148,7 @@ class SweepCache:
 
                 raise ConfigurationError(f"{name} must be >= 0, got {cap}")
         self.root = Path(root) if root is not None else default_cache_root()
+        self._rows = str(self.root / "rows")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.hits = 0
@@ -151,6 +162,14 @@ class SweepCache:
     def key_for(workload_canonical: dict, backend: str, backend_options: dict) -> str:
         """Cache key: workload description + backend + code version.
 
+        The hash input is ``canonical_json`` of all three and the code
+        version.  ``workload_canonical`` has the fields of
+        :meth:`~repro.backends.base.Workload.canonical` (a str ``kind``,
+        int ``p`` and ``seed``); its params and options, like
+        ``backend_options``, are copied through ``_jsonable`` only when
+        ``_plain`` finds a value that needs it, and the payload is then
+        encoded without a second walk.
+
         The workload's ``checkpoint`` option is excluded: how a run was
         snapshotted (or resumed) never changes its result, so a resumed
         job lands on the same key as an uninterrupted one — that is what
@@ -160,20 +179,22 @@ class SweepCache:
         workload = dict(workload_canonical)
         options = dict(workload.get("options") or {})
         options.pop("checkpoint", None)
-        workload["options"] = options
-        return hashlib.sha256(
-            canonical_json(
-                {
-                    "workload": workload,
-                    "backend": backend,
-                    "backend_options": backend_options,
-                    "code_version": code_version(),
-                }
-            ).encode()
-        ).hexdigest()
+        workload["options"] = _as_plain(options)
+        if "params" in workload:
+            workload["params"] = _as_plain(workload["params"])
+        payload = {
+            "workload": workload,
+            "backend": backend,
+            "backend_options": _as_plain(backend_options),
+            "code_version": code_version(),
+        }
+        return hashlib.sha256(_ENCODER.encode(payload).encode()).hexdigest()
+
+    def _file(self, key: str) -> str:
+        return f"{self._rows}/{key[:2]}/{key}.json"
 
     def _path(self, key: str) -> Path:
-        return self.root / "rows" / key[:2] / f"{key}.json"
+        return Path(self._file(key))
 
     # -- access -----------------------------------------------------------------
 
@@ -183,29 +204,31 @@ class SweepCache:
         A hit refreshes the record's mtime — the LRU recency clock —
         so records in active use survive eviction.
         """
-        path = self._path(key)
         try:
-            with open(path, encoding="utf-8") as f:
-                record = json.load(f)
+            with open(self._file(key), "rb", buffering=0) as f:
+                record = json.loads(f.read())
+                try:
+                    os.utime(f.fileno())
+                except OSError:
+                    pass  # read-only cache mounts still serve hits
         except (OSError, ValueError):
+            record = None
+        if record is None:  # unreadable, or a stored null
             self.misses += 1
             return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass  # read-only cache mounts still serve hits
         self.hits += 1
         return record
 
     def put(self, key: str, record: dict) -> None:
         """Atomically store ``record`` under ``key``."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        data = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+        directory = f"{self._rows}/{key[:2]}"
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(record, f, sort_keys=True, separators=(",", ":"))
-            os.replace(tmp, path)
+            with open(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, f"{directory}/{key}.json")
         except BaseException:
             try:
                 os.unlink(tmp)

@@ -100,8 +100,18 @@ class Job:
         }
 
     def key(self) -> str:
+        """The job's cache key, :meth:`SweepCache.key_for` of its payload.
+
+        The workload's params and options go in as it holds them, not
+        through :meth:`Workload.canonical`'s ``_jsonable`` copy: the key
+        hashes the same ``canonical_json`` bytes either way.
+        """
+        wl = self.workload
         return SweepCache.key_for(
-            self.workload.canonical(), self.backend, dict(self.backend_options)
+            {"kind": wl.kind, "p": int(wl.p), "seed": int(wl.seed),
+             "params": dict(wl.params), "options": wl.options},
+            self.backend,
+            dict(self.backend_options),
         )
 
 
@@ -218,6 +228,12 @@ def _execute_payload(payload: dict) -> dict:
     return json.loads(canonical_json(record))
 
 
+def _is_record(value) -> bool:
+    """Whether a cached value is a job record: a JSON object holding a
+    ``summary`` object."""
+    return isinstance(value, dict) and isinstance(value.get("summary"), dict)
+
+
 def run_jobs(
     jobs: Sequence[Job],
     *,
@@ -275,11 +291,16 @@ def run_jobs(
         checkpoint = checkpoint_spec(checkpoint, CHECKPOINT_KEYS | {"key"})
         ckpt_dir = str(default_checkpoint_root(cache.root if cache is not None else None))
 
+    # each job's key is hashed once, in the lookup loop below, and reused
+    # for its store and its checkpoint spec
+    keyed = cache is not None or checkpoint is not None
+    keys: list[str] = []
+
     def _payload(i: int) -> dict:
         payload = jobs[i].payload()
         if checkpoint is not None:
             spec = dict(checkpoint)
-            spec.setdefault("key", jobs[i].key())
+            spec.setdefault("key", keys[i])
             spec.setdefault("dir", ckpt_dir)
             options = dict(payload["workload"]["options"])
             options["checkpoint"] = spec
@@ -290,8 +311,14 @@ def run_jobs(
     pending: list[int] = []
     done = 0
     for i, job in enumerate(jobs):
-        key = job.key() if cache is not None else ""
+        key = job.key() if keyed else ""
+        keys.append(key)
         record = cache.get(key) if cache is not None else None
+        if record is not None and not _is_record(record):
+            # a stored value that is not a record: recompute and overwrite it
+            cache.hits -= 1
+            cache.misses += 1
+            record = None
         if record is not None:
             results[i] = JobResult(job=job, record=record, cached=True, key=key)
             done += 1
@@ -303,7 +330,7 @@ def run_jobs(
     def _finish(i: int, record: dict) -> None:
         nonlocal done
         job = jobs[i]
-        key = job.key() if cache is not None else ""
+        key = keys[i] if cache is not None else ""
         if cache is not None:
             cache.put(key, record)
         results[i] = JobResult(job=job, record=record, cached=False, key=key)

@@ -61,42 +61,37 @@ def _smp_cc_steps(g, p: int, *, variant: str | None, max_iter: int) -> list[Step
         if it > max_iter:
             raise SimulationError(f"SMP CC counterpart exceeded {max_iter} iterations")
 
-        contig = np.zeros(p)
-        noncontig = np.zeros(p)
-        ncw = np.zeros(p)
-        ops = np.zeros(p)
-        branches = np.zeros(p)
-        mispredicts = np.zeros(p)
+        # per-processor counts, kept as Python ints until the step is built
+        contig, noncontig, ncw, ops, branches, mispredicts = [], [], [], [], [], []
         any_graft = False
         for proc in range(p):
             elo, ehi = int(ebounds[proc]), int(ebounds[proc + 1])
-            local_graft = False
+            edges = ehi - elo
+            predictor = predictors[proc]
+            grafts = missed = 0
             for i in range(elo, ehi):
                 du = d[eu[i]]
                 dv = d[ev[i]]
-                ddv = d[dv]
-                contig[proc] += 2  # streamed E chunk
-                noncontig[proc] += 3  # D[u], D[v], D[D[v]] gathers
-                graft = du < dv and dv == ddv
-                if variant == "branch-avoiding":
-                    ops[proc] += 2  # min/max selects
-                    ncw[proc] += 1  # unconditional predicated store
-                    if graft:
-                        d[dv] = du
-                        local_graft = True
-                else:
-                    ops[proc] += 1
-                    if variant == "branchy":
-                        branches[proc] += 1
-                        if predictors[proc].record(graft):
-                            mispredicts[proc] += 1
-                    if graft:
-                        d[dv] = du
-                        local_graft = True
-                        ncw[proc] += 1
-            if local_graft:
-                ncw[proc] += 1  # graft-flag broadcast
+                graft = du < dv and dv == d[dv]
+                if variant == "branchy" and predictor.record(graft):
+                    missed += 1
+                if graft:
+                    d[dv] = du
+                    grafts += 1
+            contig.append(2 * edges)  # streamed E chunk
+            noncontig.append(3 * edges)  # D[u], D[v], D[D[v]] gathers
+            if variant == "branch-avoiding":
+                ops.append(2 * edges)  # min/max selects
+                writes = edges  # unconditional predicated store
+            else:
+                ops.append(edges)
+                writes = grafts
+            if grafts:
+                writes += 1  # graft-flag broadcast
                 any_graft = True
+            ncw.append(writes)
+            branches.append(edges if variant == "branchy" else 0)
+            mispredicts.append(missed)
         steps.append(
             StepCost(
                 name=f"graft.{it}",
@@ -115,24 +110,23 @@ def _smp_cc_steps(g, p: int, *, variant: str | None, max_iter: int) -> list[Step
         if not any_graft:
             break
 
-        contig = np.zeros(p)
-        noncontig = np.zeros(p)
-        ncw = np.zeros(p)
-        ops = np.zeros(p)
+        contig, noncontig, ncw = [], [], []
         for proc in range(p):
             vlo, vhi = int(vbounds[proc]), int(vbounds[proc + 1])
+            loads = writes = 0
             for i in range(vlo, vhi):
                 di = d[i]
-                contig[proc] += 1  # unit-stride D[i] sweep
                 while True:
                     ddi = d[di]
-                    noncontig[proc] += 1
-                    ops[proc] += 1
+                    loads += 1
                     if di == ddi:
                         break
                     d[i] = ddi
                     di = ddi
-                    ncw[proc] += 1
+                    writes += 1
+            contig.append(vhi - vlo)  # unit-stride D[i] sweep
+            noncontig.append(loads)
+            ncw.append(writes)
         steps.append(
             StepCost(
                 name=f"shortcut.{it}",
@@ -140,7 +134,7 @@ def _smp_cc_steps(g, p: int, *, variant: str | None, max_iter: int) -> list[Step
                 contig=contig,
                 noncontig=noncontig,
                 noncontig_writes=ncw,
-                ops=ops,
+                ops=noncontig,  # one compare per load
                 barriers=2,  # shortcut barrier + next iteration's reset
                 parallelism=n,
                 working_set=n,
