@@ -44,7 +44,8 @@ __all__ = [
 
 
 def _jsonable(value):
-    """Coerce numpy scalars / tuples to plain JSON types, recursively."""
+    """Coerce numpy scalars / tuples to plain JSON types, recursively.
+    ``np.longdouble`` becomes a float; ``np.clongdouble`` is refused."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -52,7 +53,11 @@ def _jsonable(value):
     if not isinstance(value, (str, bytes)):
         if hasattr(value, "tolist"):  # numpy arrays and scalars
             kind = getattr(getattr(value, "dtype", None), "kind", "O")
-            value = value.tolist()
+            scalar, value = value, value.tolist()
+            if type(value) is type(scalar):
+                if isinstance(value, numbers.Real):
+                    return float(value)
+                raise ConfigurationError(f"{value!r} has no JSON form")
             # only object and structured arrays hold tuples or NumPy
             # values; other plain lists are returned without a copy
             return value if kind not in "OV" and _plain(value) else _jsonable(value)

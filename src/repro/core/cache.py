@@ -2,29 +2,27 @@
 
 A finished job — (workload, backend, backend options) executed under
 one version of the code — is a pure function of its description, so
-its :class:`~repro.obs.RunSummary` is cached under the sha-256 of that
-description.  A warm rerun of a figure sweep then performs no input
-generation and no algorithm execution at all; the determinism tests
-rely on cached and fresh results being byte-identical.
+its record is cached under the sha-256 of that description.  A warm
+rerun of a figure sweep then performs no input generation and no
+algorithm execution at all; the determinism tests rely on cached and
+fresh results being byte-identical.
 
 Layout (under the cache root, default ``.repro-cache/``)::
 
     rows/<first two hex chars>/<full digest>.json
 
-Records are written atomically (temp file + ``os.replace``) so
-concurrent sweep workers and interrupted runs never leave a partial
-record; an unreadable or unparseable record is treated as a miss and
-overwritten.  The store itself holds any JSON value under a key: the
-sweep runner treats a stored value that is not a record (a JSON object
-holding a ``summary`` object) as a miss as well, and overwrites it with
-the recomputed record.
+The cache is a key→text store.  :meth:`~SweepCache.put` writes a
+record's canonical text in one write, atomically (temp file +
+``os.replace``), so concurrent sweep workers and interrupted runs never
+leave a partial record; :meth:`~SweepCache.get` returns the file
+decoded as UTF-8, never parsed, and counts a missing, unreadable,
+undecodable or empty file as a miss.  The sweep runner decides what a
+record is: stored text that is not one is a miss there, recomputed and
+overwritten.
 
 A record's path is a plain string, ``f"{root}/rows/{key[:2]}/{key}.json"``,
-built without pathlib on every access.  :meth:`~SweepCache.get` reads
-the file once in binary and decodes it with one ``json.loads``, then
-refreshes its mtime through the open file; :meth:`~SweepCache.put`
-writes the bytes of ``json.dumps(record, sort_keys=True,
-separators=(",", ":"))`` in one write.
+built without pathlib on every access; ``get`` reads the file once and
+refreshes its mtime through the open file.
 
 The key includes :func:`code_version` — a digest over every source
 file of the ``repro`` package — so editing any simulator or kernel
@@ -42,7 +40,6 @@ the same on demand — ``repro cache --prune`` from the command line.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -122,7 +119,7 @@ def evict_lru(
 
 
 class SweepCache:
-    """Sha-keyed store of finished job records.
+    """Sha-keyed store of finished job records' canonical text.
 
     Counters ``hits``, ``misses``, ``stores``, and ``evictions`` track
     one process's traffic; the sweep runner reports them on stderr so
@@ -198,30 +195,31 @@ class SweepCache:
 
     # -- access -----------------------------------------------------------------
 
-    def get(self, key: str) -> dict | None:
-        """The cached record for ``key``, or ``None`` (counted as a miss).
+    def get(self, key: str) -> str | None:
+        """The text stored under ``key``, or ``None`` (counted as a miss)
+        when the file is missing, unreadable, not UTF-8 or empty.
 
-        A hit refreshes the record's mtime — the LRU recency clock —
+        A hit refreshes the file's mtime — the LRU recency clock —
         so records in active use survive eviction.
         """
         try:
             with open(self._file(key), "rb", buffering=0) as f:
-                record = json.loads(f.read())
+                text = f.read().decode()
                 try:
                     os.utime(f.fileno())
                 except OSError:
                     pass  # read-only cache mounts still serve hits
-        except (OSError, ValueError):
-            record = None
-        if record is None:  # unreadable, or a stored null
+        except (OSError, UnicodeDecodeError):
+            text = ""
+        if not text:
             self.misses += 1
             return None
         self.hits += 1
-        return record
+        return text
 
-    def put(self, key: str, record: dict) -> None:
-        """Atomically store ``record`` under ``key``."""
-        data = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    def put(self, key: str, text: str) -> None:
+        """Atomically store ``text`` under ``key``."""
+        data = text.encode()
         directory = f"{self._rows}/{key[:2]}"
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -16,8 +16,9 @@ stack each backend wraps.  The runner:
   results back into input order so the output is byte-identical at any
   worker count.
 
-Every record is normalized through one canonical-JSON round trip, so a
-fresh result and its cache replay compare equal bit for bit.
+Every record is encoded once, by ``canonical_json`` where the job ran;
+the runner stores, parses and writes out that text, so a fresh result
+and its cache replay compare equal bit for bit.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class Job:
 
 @dataclass
 class JobResult:
-    """A finished job: its canonical record plus provenance.
+    """A finished job: its canonical record text, that text parsed,
+    and provenance.
 
     ``cancelled`` marks a placeholder for a job whose execution never
     finished (see :class:`SweepCancelled`); its ``record`` is empty and
@@ -126,6 +128,7 @@ class JobResult:
 
     job: Job
     record: dict
+    text: str = ""
     cached: bool = False
     key: str = ""
     cancelled: bool = False
@@ -164,12 +167,8 @@ class JobResult:
 
     def jsonl(self) -> str:
         """The record as one JSON line: ``canonical_json``'s bytes, the
-        stored and hashed form, which must never change.
-
-        ``_execute_payload``'s round trip and cache reads already yield
-        plain JSON, so the record is written as it is.
-        """
-        return json.dumps(self.record, sort_keys=True, separators=(",", ":"))
+        stored and hashed form, which must never change."""
+        return self.text
 
 
 # The serial loop's cancel hook, handed to _execute_payload out of band
@@ -180,8 +179,9 @@ class JobResult:
 _serial_state = threading.local()
 
 
-def _execute_payload(payload: dict) -> dict:
-    """Run one job description; top-level so worker processes can pickle it.
+def _execute_payload(payload: dict) -> str:
+    """Run one job description and return its record's canonical text;
+    top-level so worker processes can pickle it.
 
     The serial loop's cancel hook (serial execution only — callables
     don't cross the process pool) is handed to the backend as the
@@ -224,14 +224,18 @@ def _execute_payload(payload: dict) -> dict:
         "backend_options": payload["backend_options"],
         "summary": summary.to_dict(),
     }
-    # one canonical round trip: fresh results and cache replays compare equal
-    return json.loads(canonical_json(record))
+    return canonical_json(record)
 
 
-def _is_record(value) -> bool:
-    """Whether a cached value is a job record: a JSON object holding a
-    ``summary`` object."""
-    return isinstance(value, dict) and isinstance(value.get("summary"), dict)
+def _parse_record(text: str) -> dict | None:
+    """The job record ``text`` holds, or ``None`` if it is not JSON or
+    not a JSON object holding a ``summary`` object."""
+    try:
+        record = json.loads(text)
+    except ValueError:
+        return None
+    is_record = isinstance(record, dict) and isinstance(record.get("summary"), dict)
+    return record if is_record else None
 
 
 def run_jobs(
@@ -313,27 +317,27 @@ def run_jobs(
     for i, job in enumerate(jobs):
         key = job.key() if keyed else ""
         keys.append(key)
-        record = cache.get(key) if cache is not None else None
-        if record is not None and not _is_record(record):
-            # a stored value that is not a record: recompute and overwrite it
+        text = cache.get(key) if cache is not None else None
+        record = _parse_record(text) if text is not None else None
+        if text is not None and record is None:
+            # stored text that is not a record: recompute and overwrite it
             cache.hits -= 1
             cache.misses += 1
-            record = None
         if record is not None:
-            results[i] = JobResult(job=job, record=record, cached=True, key=key)
+            results[i] = JobResult(job=job, record=record, text=text, cached=True, key=key)
             done += 1
             if progress is not None:
                 progress(done, len(jobs), job, True)
         else:
             pending.append(i)
 
-    def _finish(i: int, record: dict) -> None:
+    def _finish(i: int, text: str) -> None:
         nonlocal done
         job = jobs[i]
         key = keys[i] if cache is not None else ""
         if cache is not None:
-            cache.put(key, record)
-        results[i] = JobResult(job=job, record=record, cached=False, key=key)
+            cache.put(key, text)
+        results[i] = JobResult(job=job, record=json.loads(text), text=text, key=key)
         done += 1
         if progress is not None:
             progress(done, len(jobs), job, False)

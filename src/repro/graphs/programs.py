@@ -34,7 +34,7 @@ import numpy as np
 from ..arch.memory import AddressSpace
 from ..errors import ConfigurationError, SimulationError, WorkloadError
 from ..sim.branch import OneBitPredictor, penalty_ops
-from ..sim.mta_engine import MTAEngine
+from ..sim.mta_engine import MTAEngine, check_at_least_one
 from ..sim.smp_engine import SMPEngine
 from ..sim.stats import SimReport, combine_reports
 from .edgelist import EdgeList
@@ -129,6 +129,7 @@ def simulate_mta_cc(
         by every graft/shortcut engine phase (periodic snapshots /
         resume).
     """
+    check_at_least_one(streams_per_proc=streams_per_proc, edges_per_chunk=edges_per_chunk)
     n = g.n
     if n == 0:
         raise WorkloadError("empty graph")
@@ -148,7 +149,7 @@ def simulate_mta_cc(
     d = list(range(n))
     eng_cls = engine if engine is not None else MTAEngine
     kw = dict(engine_kwargs or {})
-    kw.setdefault("streams_per_proc", max(streams_per_proc, 1))
+    kw.setdefault("streams_per_proc", streams_per_proc)
 
     def new_engine():
         """One phase's engine, its memory declared to the hooks."""

@@ -31,7 +31,7 @@ from ..errors import WorkloadError
 from .generate import TAIL
 from .prefix import PrefixOp
 
-__all__ = ["Traversal", "traverse_sublists", "LOCKSTEP_MIN_WALKS"]
+__all__ = ["Traversal", "traverse_sublists", "walk_traces", "LOCKSTEP_MIN_WALKS"]
 
 #: Walk count from which :func:`traverse_sublists` advances the walks in
 #: lock-step; below it each walk is chased on its own (see docs/MODELS.md).
@@ -105,6 +105,33 @@ class Traversal:
             order[i] = w
             w = int(nw[w])
         return order
+
+
+def walk_traces(
+    trav: Traversal, assign: np.ndarray, p: int, nxt_base: int, out_base: int
+) -> list[np.ndarray]:
+    """Per-processor address streams of a sublist traversal.
+
+    Each visited node contributes a read of ``nxt[node]`` and a write of
+    ``out[node]`` (Helman–JáJá's ``local``, the MTA walks' ``rank``);
+    nodes appear in walk order, walks in assignment order — the order
+    the owning processor would issue them.
+    """
+    n = len(trav.local)
+    order = np.lexsort((trav.pos, trav.sublist_id))  # nodes grouped by walk, in walk order
+    nodes_by_walk = np.arange(n, dtype=np.int64)[order]
+    walk_starts = np.zeros(trav.n_walks + 1, dtype=np.int64)
+    np.cumsum(trav.lengths, out=walk_starts[1:])
+    traces: list[np.ndarray] = []
+    for proc in range(p):
+        walks = np.flatnonzero(assign == proc)
+        chunks = [nodes_by_walk[walk_starts[w] : walk_starts[w + 1]] for w in walks]
+        nodes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        addrs = np.empty((len(nodes), 2), dtype=np.int64)
+        addrs[:, 0] = nxt_base + nodes
+        addrs[:, 1] = out_base + nodes
+        traces.append(addrs.ravel())
+    return traces
 
 
 def traverse_sublists(

@@ -35,7 +35,7 @@ from ..arch.memory import AddressSpace
 from ..core.cost import StepCost, bernoulli_mispredicts
 from ..core.schedule import block_assign, dynamic_assign, per_proc_totals
 from ..errors import ConfigurationError
-from ._traversal import traverse_sublists
+from ._traversal import traverse_sublists, walk_traces
 from .generate import head_of
 from .prefix import ADD, PrefixOp
 from .types import PrefixRun
@@ -186,7 +186,7 @@ def helman_jaja_prefix(
     len_pw = trav.lengths.astype(float)
     ops_pp = per_proc_totals(assign, _OPS_PER_NODE * len_pw, p)
     traces3 = (
-        _step3_traces(trav, assign, p, a_nxt.base, a_local.base) if collect_traces else None
+        walk_traces(trav, assign, p, a_nxt.base, a_local.base) if collect_traces else None
     )
     steps.append(
         StepCost(
@@ -297,32 +297,6 @@ def rank_helman_jaja(
 
 
 # -- trace construction ---------------------------------------------------------
-
-
-def _step3_traces(
-    trav, assign: np.ndarray, p: int, nxt_base: int, local_base: int
-) -> list[np.ndarray]:
-    """Per-processor address streams of the sublist traversal.
-
-    Each visited node contributes a read of ``nxt[node]`` and a write of
-    ``local[node]``; nodes appear in walk order, walks in assignment
-    order — the order the owning processor would issue them.
-    """
-    n = len(trav.local)
-    order = np.lexsort((trav.pos, trav.sublist_id))  # nodes grouped by walk, in walk order
-    nodes_by_walk = np.arange(n, dtype=np.int64)[order]
-    walk_starts = np.zeros(trav.n_walks + 1, dtype=np.int64)
-    np.cumsum(trav.lengths, out=walk_starts[1:])
-    traces: list[np.ndarray] = []
-    for proc in range(p):
-        walks = np.flatnonzero(assign == proc)
-        chunks = [nodes_by_walk[walk_starts[w] : walk_starts[w + 1]] for w in walks]
-        nodes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        addrs = np.empty((len(nodes), 2), dtype=np.int64)
-        addrs[:, 0] = nxt_base + nodes
-        addrs[:, 1] = local_base + nodes
-        traces.append(addrs.ravel())
-    return traces
 
 
 def _step5_traces(

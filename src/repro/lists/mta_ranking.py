@@ -35,7 +35,7 @@ from ..arch.memory import AddressSpace
 from ..core.cost import StepCost
 from ..core.schedule import block_assign, dynamic_assign, per_proc_totals
 from ..errors import ConfigurationError
-from ._traversal import traverse_sublists
+from ._traversal import traverse_sublists, walk_traces
 from .generate import head_of
 from .prefix import ADD, PrefixOp
 from .types import PrefixRun
@@ -152,7 +152,7 @@ def mta_prefix(
     contig_pw = _WALK_ACCESSES_PER_NODE * trav.seq_steps.astype(float)
     total_pw = _WALK_ACCESSES_PER_NODE * trav.lengths.astype(float)
     traces2 = (
-        _walk_traces(trav, assign, p, a_nxt.base, a_rank.base) if collect_traces else None
+        walk_traces(trav, assign, p, a_nxt.base, a_rank.base) if collect_traces else None
     )
     steps.append(
         StepCost(
@@ -188,7 +188,7 @@ def mta_prefix(
     # -- step 4: re-traverse, assigning final values --------------------------------
     prefix = op(offsets[trav.sublist_id], trav.local).astype(trav.local.dtype)
     traces4 = (
-        _walk_traces(trav, assign, p, a_nxt.base, a_rank.base) if collect_traces else None
+        walk_traces(trav, assign, p, a_nxt.base, a_rank.base) if collect_traces else None
     )
     steps.append(
         StepCost(
@@ -237,24 +237,3 @@ def rank_mta(
     )
     run.ranks = run.prefix - 1
     return run
-
-
-def _walk_traces(
-    trav, assign: np.ndarray, p: int, nxt_base: int, rank_base: int
-) -> list[np.ndarray]:
-    """Per-processor address streams for a walk phase (read nxt, touch rank)."""
-    n = len(trav.local)
-    order = np.lexsort((trav.pos, trav.sublist_id))
-    nodes_by_walk = np.arange(n, dtype=np.int64)[order]
-    walk_starts = np.zeros(trav.n_walks + 1, dtype=np.int64)
-    np.cumsum(trav.lengths, out=walk_starts[1:])
-    traces: list[np.ndarray] = []
-    for proc in range(p):
-        walks = np.flatnonzero(assign == proc)
-        chunks = [nodes_by_walk[walk_starts[x] : walk_starts[x + 1]] for x in walks]
-        nodes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        addrs = np.empty((len(nodes), 2), dtype=np.int64)
-        addrs[:, 0] = nxt_base + nodes
-        addrs[:, 1] = rank_base + nodes
-        traces.append(addrs.ravel())
-    return traces

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..arch.memory import AddressSpace
 from ..errors import WorkloadError
-from ..sim.mta_engine import MTAEngine
+from ..sim.mta_engine import MTAEngine, check_at_least_one
 from ..sim.smp_engine import SMPEngine
 from ..sim.stats import SimReport, combine_reports
 from .generate import TAIL, check_successors, head_of
@@ -124,6 +124,7 @@ def simulate_mta_list_ranking(
         Optional :class:`repro.sim.checkpoint.CheckpointSession` shared
         by all four engine phases (periodic snapshots / resume).
     """
+    check_at_least_one(streams_per_proc=streams_per_proc)
     n = len(nxt)
     if n == 0:
         raise WorkloadError("empty list")
@@ -159,7 +160,7 @@ def simulate_mta_list_ranking(
     reports: list[SimReport] = []
     eng_cls = engine if engine is not None else MTAEngine
     kw = dict(engine_kwargs or {})
-    kw.setdefault("streams_per_proc", max(streams_per_proc, 1))
+    kw.setdefault("streams_per_proc", streams_per_proc)
 
     def new_engine():
         """One phase's engine, its memory declared to the hooks."""

@@ -55,7 +55,18 @@ from .isa import (
 from .kernel import INTERLEAVED, Engine, MachineModel, SimKernel
 from .thread import BLOCKED, WAIT_EMPTY, WAIT_FULL
 
-__all__ = ["MTAEngine", "MTAMachine"]
+__all__ = ["MTAEngine", "MTAMachine", "check_at_least_one"]
+
+
+def check_at_least_one(**values: int) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` naming the first
+    of ``values`` below 1: the machine's sizes, and the stream count and
+    chunk size the MTA programs and the Alg. 3 counterpart check before
+    any engine phase or step (a chunk of 0 would spin until the watchdog).
+    """
+    for name, value in values.items():
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
 class MTAMachine(MachineModel):
@@ -95,12 +106,7 @@ class MTAMachine(MachineModel):
         ):  # cycle counts and capacities of an integer-cycle machine
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if p < 1:
-            raise ConfigurationError("p must be >= 1")
-        if streams_per_proc < 1:
-            raise ConfigurationError("streams_per_proc must be >= 1")
-        if mem_latency < 1:
-            raise ConfigurationError("mem_latency must be >= 1")
+        check_at_least_one(p=p, streams_per_proc=streams_per_proc, mem_latency=mem_latency)
         if n_banks and (n_banks < 1 or (n_banks & (n_banks - 1)) != 0):
             raise ConfigurationError(f"n_banks must be 0 or a power of two, got {n_banks}")
         self.p = p

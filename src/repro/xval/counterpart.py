@@ -31,6 +31,7 @@ import numpy as np
 from ..core.cost import StepCost
 from ..errors import ConfigurationError, SimulationError
 from ..sim.branch import OneBitPredictor
+from ..sim.mta_engine import check_at_least_one
 
 __all__ = ["COUNTERPARTS", "has_counterpart", "counterpart_predictions"]
 
@@ -157,6 +158,7 @@ def _mta_cc_steps(
     barriers (each phase is a separate engine run), with the loop's
     ``int_fetch_add`` chunk grabs counted as hotspot ops.
     """
+    check_at_least_one(streams_per_proc=streams_per_proc, edges_per_chunk=edges_per_chunk)
     n = g.n
     sym = g.symmetrized()
     eu = sym.u.tolist()

@@ -14,7 +14,7 @@ def _fill(cache, count, start=0, size=0):
     pad = "x" * size
     for i in range(start, start + count):
         key = f"{i:02x}" + "0" * 62
-        cache.put(key, {"i": i, "pad": pad})
+        cache.put(key, f'{{"i":{i},"pad":"{pad}"}}')
         # decouple LRU order from filesystem timestamp resolution
         os.utime(cache._path(key), (1_000_000 + i, 1_000_000 + i))
     return [f"{i:02x}" + "0" * 62 for i in range(start, start + count)]
@@ -25,9 +25,9 @@ class TestEntryCap:
         cache = SweepCache(tmp_path, max_entries=3)
         keys = _fill(cache, 3)
         newest = "aa" + "0" * 62
-        cache.put(newest, {"i": 99})
+        cache.put(newest, '{"i":99}')
         assert cache.get(keys[0]) is None  # oldest evicted
-        assert cache.get(newest) == {"i": 99}
+        assert cache.get(newest) == '{"i":99}'
         assert cache.evictions == 1
 
     def test_uncapped_cache_never_evicts(self, tmp_path):
@@ -40,7 +40,7 @@ class TestEntryCap:
         cache = SweepCache(tmp_path, max_entries=3)
         keys = _fill(cache, 3)
         assert cache.get(keys[0]) is not None  # touch: now most recent
-        cache.put("bb" + "0" * 62, {"i": 99})
+        cache.put("bb" + "0" * 62, '{"i":99}')
         assert cache.get(keys[0]) is not None  # survived
         assert cache.get(keys[1]) is None  # true LRU went instead
 

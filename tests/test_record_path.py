@@ -7,7 +7,8 @@ are pinned here against the reference encoder of
 ``tests/test_canonical_json.py`` and against ``tests/golden/job_keys.json``
 (keys of a fixed job set with ``code_version`` pinned).  The amount of
 work per job is pinned by counts: one key hash per job, cold or warm,
-one read per warm job, and no pure-Python JSON encoder on a store.
+one read per warm job, one encode of a cold job's record and none of a
+warm one's, and no pure-Python JSON encoder on a store.
 
 To regenerate the key golden after an *intended* change to the key::
 
@@ -29,11 +30,12 @@ import pytest
 import repro.backends.analytic as analytic
 import repro.core.cache as cache_mod
 from repro.backends import Workload, create
-from repro.backends.base import _jsonable
+from repro.backends.base import _jsonable, canonical_json
 from repro.backends.kernels import extras_from_run
 from repro.cli import main
 from repro.core.cache import SweepCache
 from repro.core.runner import Job, derive_seed, run_jobs, write_jsonl
+from repro.errors import ConfigurationError
 
 from .test_canonical_json import _reference_plain, reference_json
 
@@ -116,18 +118,29 @@ def test_stored_files_are_the_records(tmp_path):
     for r in results:
         stored = cache._path(r.key).read_bytes()
         assert stored == r.jsonl().encode() == reference_json(r.record).encode()
-        assert cache.get(r.key) == r.record
+        text = cache.get(r.key)
+        assert text == r.jsonl() and json.loads(text) == r.record
     replay = run_jobs(RECORD_JOBS, workers=1, cache=cache)
     assert all(r.cached for r in replay)
     assert write_jsonl(replay) == write_jsonl(results)
 
 
+def test_pool_stores_the_reference_bytes(tmp_path):
+    serial = run_jobs(RECORD_JOBS, workers=1, cache=False)
+    cache = SweepCache(tmp_path)
+    pooled = run_jobs(RECORD_JOBS, workers=2, cache=cache)
+    for r in pooled:
+        stored = cache._path(r.key).read_bytes()
+        assert stored == r.jsonl().encode() == reference_json(r.record).encode()
+    assert write_jsonl(pooled) == write_jsonl(serial)
+
+
 def test_put_writes_the_reference_bytes(tmp_path):
     cache = SweepCache(tmp_path)
     record = {"b": [1, 2.5, None, True], "a": {"z": "é", "y": float("inf")}, "s": "x\n"}
-    cache.put("ab" * 32, record)
+    cache.put("ab" * 32, canonical_json(record))
     assert cache._path("ab" * 32).read_bytes() == reference_json(record).encode()
-    assert cache.get("ab" * 32) == record
+    assert cache.get("ab" * 32) == reference_json(record)
 
 
 # -- keys ---------------------------------------------------------------------
@@ -204,6 +217,32 @@ def test_each_job_is_hashed_once_and_read_once(tmp_path, counts, checkpoint):
     assert [r.key for r in warm] == [r.key for r in cold] == [j.key() for j in _COUNT_JOBS]
 
 
+@pytest.fixture
+def record_encodes(monkeypatch):
+    """Job records (dicts holding a ``summary``) passed to the JSON
+    encoder, by ``canonical_json``, ``json.dumps`` or any other caller."""
+    seen = []
+    encode = json.JSONEncoder.encode
+
+    def counted_encode(self, o):
+        if isinstance(o, dict) and "summary" in o:
+            seen.append(o)
+        return encode(self, o)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counted_encode)
+    return seen
+
+
+def test_a_record_is_encoded_once_cold_and_never_warm(tmp_path, record_encodes):
+    cache = SweepCache(tmp_path)
+    cold = write_jsonl(run_jobs(_COUNT_JOBS, workers=1, cache=cache))
+    assert len(record_encodes) == len(_COUNT_JOBS)
+    record_encodes.clear()
+    warm = write_jsonl(run_jobs(_COUNT_JOBS, workers=1, cache=cache))
+    assert record_encodes == []
+    assert warm == cold
+
+
 def test_uncached_run_hashes_only_for_checkpoints(counts):
     run_jobs(_COUNT_JOBS[:1], workers=1, cache=False)
     assert counts["key"] == 0
@@ -250,6 +289,27 @@ def test_jsonable_matches_per_element_recursion(value):
     assert _typed(_jsonable(value)) == _typed(_reference_plain(value))
 
 
+def test_longdouble_is_coerced_to_float():
+    value = np.longdouble(64.5)
+    typed = Workload("rank", 2, 0, {"n": value, "w": np.array([value, value])})
+    plain = Workload("rank", 2, 0, {"n": 64.5, "w": [64.5, 64.5]})
+    assert _typed(typed.canonical()) == _typed(plain.canonical())
+    assert Job(typed, "smp-model").key() == Job(plain, "smp-model").key()
+    assert canonical_json([value, np.array([value])]) == "[64.5,[64.5]]"
+
+
+def test_clongdouble_is_a_configuration_error():
+    value = np.clongdouble(1 + 2j)
+    workload = Workload("rank", 2, 0, {"n": 64}, {"w": value})
+    for encode in (
+        lambda: Job(workload, "smp-model").key(),
+        workload.canonical,
+        lambda: canonical_json({"w": [value]}),
+    ):
+        with pytest.raises(ConfigurationError, match=r"1\+2j"):
+            encode()
+
+
 def _reference_extras(run) -> dict:
     """``extras_from_run`` over the per-element reference copy."""
     extras: dict = {}
@@ -282,7 +342,7 @@ def test_extras_from_run_matches_reference(monkeypatch, backend):
 
 # -- stored values that are not records ---------------------------------------
 
-NOT_RECORDS = ["[1, 2]", '"x"', "{}", '{"summary": 3}', "null"]
+NOT_RECORDS = ["[1, 2]", '"x"', "{}", '{"summary": 3}', "null", "{not json", ""]
 
 
 def _overwrite_rows(root: pathlib.Path, text: str) -> int:

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 import repro.core.runner as runner_mod
 from repro.backends import Workload
@@ -15,9 +16,9 @@ def _job(seed=0, n=64):
 class TestSweepCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = SweepCache(tmp_path)
-        record = {"summary": {"cycles": 1.0}, "backend": "smp-model"}
-        cache.put("ab" * 32, record)
-        assert cache.get("ab" * 32) == record
+        text = '{"backend":"smp-model","summary":{"cycles":1.0}}'
+        cache.put("ab" * 32, text)
+        assert cache.get("ab" * 32) == text
         assert cache.hits == 1 and cache.stores == 1
 
     def test_missing_key_is_miss(self, tmp_path):
@@ -28,29 +29,54 @@ class TestSweepCache:
     def test_corrupt_record_is_miss_and_overwritable(self, tmp_path):
         cache = SweepCache(tmp_path)
         key = "ef" * 32
-        cache.put(key, {"ok": 1})
+        cache.put(key, '{"ok":1}')
         path = cache._path(key)
-        path.write_text("{not json", encoding="utf-8")
+        path.write_bytes(b'{"ok":\xff}')  # not UTF-8
         assert cache.get(key) is None
-        cache.put(key, {"ok": 2})
-        assert cache.get(key) == {"ok": 2}
+        cache.put(key, '{"ok":2}')
+        assert cache.get(key) == '{"ok":2}'
 
     def test_sharded_layout(self, tmp_path):
         cache = SweepCache(tmp_path)
         key = "12" + "0" * 62
-        cache.put(key, {})
+        cache.put(key, "{}")
         assert (tmp_path / "rows" / "12" / f"{key}.json").exists()
 
     def test_no_tmp_droppings(self, tmp_path):
         cache = SweepCache(tmp_path)
         for i in range(5):
-            cache.put(f"{i:02d}" + "0" * 62, {"i": i})
+            cache.put(f"{i:02d}" + "0" * 62, f'{{"i":{i}}}')
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_stats_line(self, tmp_path):
         cache = SweepCache(tmp_path)
         cache.get("00" * 32)
         assert "0/1 hits" in cache.stats_line()
+
+
+class TestTextStore:
+    """``SweepCache`` stores and serves text; it never parses it."""
+
+    def test_text_round_trips_byte_for_byte(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        key = "ab" * 32
+        for text in ('{"a":"\\u00e9","b":[1,NaN]}', "é\n", "{not json", "null"):
+            cache.put(key, text)
+            assert cache._path(key).read_bytes() == text.encode()
+            assert cache.get(key) == text
+        assert (cache.hits, cache.misses, cache.stores) == (4, 0, 4)
+
+    @pytest.mark.parametrize("spoil", ["empty", "unreadable", "non-utf8"])
+    def test_spoiled_file_is_a_miss(self, tmp_path, spoil):
+        cache = SweepCache(tmp_path)
+        path = cache._path("ab" * 32)
+        if spoil == "unreadable":
+            path.mkdir(parents=True)  # opening a directory fails
+        else:
+            cache.put("ab" * 32, "{}")
+            path.write_bytes(b"" if spoil == "empty" else b"\xff\xfe{}")
+        assert cache.get("ab" * 32) is None
+        assert (cache.hits, cache.misses) == (0, 1)
 
 
 class TestCacheKey:
