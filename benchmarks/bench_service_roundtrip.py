@@ -9,9 +9,10 @@ measures exactly that, end to end through real sockets:
 
 * cold sweep through the service vs ``run_jobs`` directly — the
   wrapper overhead on a real execution;
-* warm resubmission — cache-hit round-trip latency;
-* a coalesced burst — N identical concurrent submissions, one
-  execution, N responses.
+* warm resubmission — answered from the cache at admission, one
+  submit and one poll;
+* a burst — N identical submissions of the finished sweep, each
+  answered at admission: no execution, N responses.
 
 Output: ``benchmarks/results/service_roundtrip.txt``.
 """
@@ -71,9 +72,7 @@ def test_service_roundtrip(benchmark, results_dir, tmp_path):
     direct_s = time.perf_counter() - t0
 
     def drive():
-        with _Host(tmp_path / "cache") as host:
-            c = ServiceClient("127.0.0.1", host.port)
-
+        with _Host(tmp_path / "cache") as host, ServiceClient("127.0.0.1", host.port) as c:
             t0 = time.perf_counter()
             cold = c.wait(c.submit({"spec": SPEC})["id"], timeout=600)
             cold_s = time.perf_counter() - t0
@@ -82,7 +81,7 @@ def test_service_roundtrip(benchmark, results_dir, tmp_path):
             warm = c.wait(c.submit({"spec": SPEC})["id"], timeout=600)
             warm_s = time.perf_counter() - t0
 
-            # a burst of identical submissions while one is in flight
+            # a burst of identical submissions of the finished sweep
             t0 = time.perf_counter()
             views = [c.submit({"spec": SPEC, "priority": 1}) for _ in range(BURST)]
             finals = [c.wait(v["id"], timeout=600) for v in views]
@@ -108,7 +107,7 @@ def test_service_roundtrip(benchmark, results_dir, tmp_path):
         f"{'burst of ' + str(BURST) + ' identical submits':<34}{burst_s:>14.3f}",
         "",
         f"wrapper overhead on cold path: {cold_s - direct_s:+.3f}s",
-        f"coalesce hits in burst: {metrics['counters']['coalesce_hits']}",
+        f"answered at admission: {metrics['counters']['cache_answers']}",
         f"executions total: {metrics['counters']['executions']}",
     ]
     out = results_dir / "service_roundtrip.txt"

@@ -649,15 +649,15 @@ def _cmd_submit(args) -> int:
 
     from .service import DONE, ServiceClient
 
-    client = ServiceClient(args.host, args.port)
-    view = client.submit(_submit_body(args))
-    if args.no_wait:
-        if args.json:
-            print(json.dumps(view, indent=2, sort_keys=True))
-        else:
-            print(f"{view['id']} {view['state']}")
-        return 0
-    view = client.wait(view["id"], timeout=args.wait_timeout)
+    with ServiceClient(args.host, args.port) as client:
+        view = client.submit(_submit_body(args))
+        if args.no_wait:
+            if args.json:
+                print(json.dumps(view, indent=2, sort_keys=True))
+            else:
+                print(f"{view['id']} {view['state']}")
+            return 0
+        view = client.wait(view["id"], timeout=args.wait_timeout)
     if args.json:
         print(json.dumps(view, indent=2, sort_keys=True))
         return 0 if view["state"] == DONE else 2

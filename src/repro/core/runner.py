@@ -38,6 +38,7 @@ __all__ = [
     "Job",
     "JobResult",
     "SweepCancelled",
+    "cached_result",
     "derive_seed",
     "run_jobs",
     "write_jsonl",
@@ -227,15 +228,27 @@ def _execute_payload(payload: dict) -> str:
     return canonical_json(record)
 
 
-def _parse_record(text: str) -> dict | None:
-    """The job record ``text`` holds, or ``None`` if it is not JSON or
-    not a JSON object holding a ``summary`` object."""
+def cached_result(job: Job, cache: SweepCache) -> tuple[str, JobResult | None]:
+    """``job``'s cache key and its stored result, or ``None`` on a miss.
+
+    The one cache read of the record path: :func:`run_jobs` and the
+    service's admission both call it.  Stored text that is not a record
+    (not JSON, or not a JSON object holding a ``summary`` object) is
+    counted as a miss; the runner recomputes and overwrites it.
+    """
+    key = job.key()
+    text = cache.get(key)
+    if text is None:
+        return key, None
     try:
         record = json.loads(text)
     except ValueError:
-        return None
-    is_record = isinstance(record, dict) and isinstance(record.get("summary"), dict)
-    return record if is_record else None
+        record = None
+    if not (isinstance(record, dict) and isinstance(record.get("summary"), dict)):
+        cache.hits -= 1
+        cache.misses += 1
+        return key, None
+    return key, JobResult(job=job, record=record, text=text, cached=True, key=key)
 
 
 def run_jobs(
@@ -297,7 +310,6 @@ def run_jobs(
 
     # each job's key is hashed once, in the lookup loop below, and reused
     # for its store and its checkpoint spec
-    keyed = cache is not None or checkpoint is not None
     keys: list[str] = []
 
     def _payload(i: int) -> dict:
@@ -315,16 +327,13 @@ def run_jobs(
     pending: list[int] = []
     done = 0
     for i, job in enumerate(jobs):
-        key = job.key() if keyed else ""
+        if cache is not None:
+            key, result = cached_result(job, cache)
+        else:
+            key, result = job.key() if checkpoint is not None else "", None
         keys.append(key)
-        text = cache.get(key) if cache is not None else None
-        record = _parse_record(text) if text is not None else None
-        if text is not None and record is None:
-            # stored text that is not a record: recompute and overwrite it
-            cache.hits -= 1
-            cache.misses += 1
-        if record is not None:
-            results[i] = JobResult(job=job, record=record, text=text, cached=True, key=key)
+        if result is not None:
+            results[i] = result
             done += 1
             if progress is not None:
                 progress(done, len(jobs), job, True)

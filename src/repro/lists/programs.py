@@ -102,7 +102,8 @@ def simulate_mta_list_ranking(
     streams_per_proc:
         Worker streams per processor (the paper uses 100).
     nodes_per_walk:
-        Target sublist length (the paper's ~10), sets the walk count.
+        Target sublist length (the paper's ~10), sets the walk count;
+        at least 1.
     dynamic:
         ``True``: streams self-schedule walks via ``int_fetch_add`` (the
         paper's approach).  ``False``: walks are pre-assigned to streams
@@ -124,13 +125,13 @@ def simulate_mta_list_ranking(
         Optional :class:`repro.sim.checkpoint.CheckpointSession` shared
         by all four engine phases (periodic snapshots / resume).
     """
-    check_at_least_one(streams_per_proc=streams_per_proc)
+    check_at_least_one(streams_per_proc=streams_per_proc, nodes_per_walk=nodes_per_walk)
     n = len(nxt)
     if n == 0:
         raise WorkloadError("empty list")
     check_successors(nxt)
     head = head_of(nxt)
-    nwalks = max(1, n // max(1, nodes_per_walk))
+    nwalks = max(1, n // nodes_per_walk)
     heads = _select_walk_heads(n, head, nwalks).tolist()
     w = len(heads)
     n_workers = min(p * streams_per_proc, w)

@@ -8,12 +8,21 @@ structured code, so callers switch on ``exc.code`` — e.g.
 ``ERR_QUEUE_FULL`` — instead of parsing messages.  A *job view* that
 merely records a failure (a cancelled or failed job fetched with a
 200) is returned as data, not raised.
+
+Each calling thread keeps one persistent HTTP/1.1 connection, opened on
+its first request and reopened after the server closes it.  A request
+on a reused connection that fails before any response byte comes back
+(the server closed the connection while it was idle) is sent once more
+on a new connection; every other failure is a ``transport`` error.
+:meth:`ServiceClient.close` (or leaving a ``with`` block) closes the
+connections.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Any
 
@@ -41,40 +50,72 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._conns: list[http.client.HTTPConnection] = []
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection (a later request reopens it)."""
+        with self._lock:
+            for conn in self._conns:
+                conn.close()
 
     # -- transport ---------------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+            self._local.conn = conn
+            with self._lock:
+                self._conns.append(conn)
+        return conn
+
     def _request(self, method: str, path: str, body: Any = None) -> dict:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        payload = None if body is None else json.dumps(body).encode()
+        headers = {"Content-Type": "application/json"} if payload else {}
+        conn = self._connection()
+        reused = conn.sock is not None
         try:
-            payload = None if body is None else json.dumps(body)
-            headers = {"Content-Type": "application/json"} if payload else {}
             try:
                 conn.request(method, path, body=payload, headers=headers)
                 response = conn.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                raise ServiceError(
-                    "transport",
-                    f"{method} http://{self.host}:{self.port}{path} failed: {exc}",
-                ) from None
-            try:
-                decoded = json.loads(raw) if raw else {}
-            except ValueError as exc:
-                raise ServiceError(
-                    "transport", f"non-JSON response ({response.status}): {exc}"
-                ) from None
-            if response.status >= 400:
-                err = decoded.get("error") if isinstance(decoded, dict) else None
-                err = err if isinstance(err, dict) else {}
-                raise ServiceError(
-                    err.get("code", "unknown"),
-                    err.get("message", f"HTTP {response.status}"),
-                    status=response.status,
-                )
-            return decoded
-        finally:
+            except (BrokenPipeError, ConnectionResetError):
+                # http.client.RemoteDisconnected is a ConnectionResetError:
+                # no response byte came back
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as exc:
             conn.close()
+            raise ServiceError(
+                "transport",
+                f"{method} http://{self.host}:{self.port}{path} failed: {exc}",
+            ) from None
+        try:
+            decoded = json.loads(raw) if raw else {}
+        except ValueError as exc:
+            raise ServiceError(
+                "transport", f"non-JSON response ({response.status}): {exc}"
+            ) from None
+        if response.status >= 400:
+            err = decoded.get("error") if isinstance(decoded, dict) else None
+            err = err if isinstance(err, dict) else {}
+            raise ServiceError(
+                err.get("code", "unknown"),
+                err.get("message", f"HTTP {response.status}"),
+                status=response.status,
+            )
+        return decoded
 
     # -- API ---------------------------------------------------------------------
 

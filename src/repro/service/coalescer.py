@@ -11,9 +11,9 @@ no queue slot and no execution, they just await the leader's future.
 
 The leader's outcome — result payload or failure — is broadcast
 through an :class:`asyncio.Future` per key.  Entries are removed when
-resolved/rejected, so a submission arriving *after* completion starts
-a fresh execution (which the disk cache then answers instantly —
-coalescing and caching compose).
+resolved/rejected, so a submission arriving *after* completion is
+answered from the disk cache at admission (or, with the cache
+disabled, executes afresh) — coalescing and caching compose.
 
 Event-loop-thread only, like the admission queue.
 """

@@ -5,10 +5,12 @@ One :class:`ServiceMetrics` per service instance aggregates:
 * **admission** — submissions accepted / rejected (``queue_full``,
   ``shutting_down``);
 * **coalescing** — how many submissions attached to an in-flight
-  execution instead of executing;
-* **execution** — sweeps executed, completed, failed, timed out,
-  cancelled, plus per-job disk-cache traffic summed from each
-  execution's :class:`~repro.core.cache.SweepCache` counters;
+  execution instead of executing, and how many the cache answered at
+  admission (``cache_answers``);
+* **execution** — sweeps handed to an executor, completed, failed,
+  timed out, cancelled, plus per-job disk-cache traffic summed from the
+  :class:`~repro.core.cache.SweepCache` counters of each execution and
+  each admission answer;
 * **latency** — submit→terminal wall time, exported as count/mean/
   p50/p95/max over a sliding window.
 
@@ -43,7 +45,8 @@ class ServiceMetrics:
         self.latency.observe(seconds)
 
     def record_cache_traffic(self, cache) -> None:
-        """Fold one execution's :class:`SweepCache` counters in."""
+        """Fold one execution's or admission answer's :class:`SweepCache`
+        counters in."""
         if cache is None:
             return
         self.counters.inc("cache_hits", cache.hits)

@@ -7,7 +7,8 @@ the same discipline at the request level.  Admission is strict: when
 :class:`QueueFullError` immediately — the HTTP layer turns that into a
 structured ``queue_full`` rejection (429) instead of letting latency
 grow without bound.  Duplicate submissions never consume a slot: the
-coalescer intercepts them before admission.
+coalescer intercepts them before admission, and a submission the cache
+already answers in full never reaches the queue.
 
 Ordering is by descending ``priority``, FIFO within a priority (a
 monotonic sequence number breaks ties), implemented as a heap.

@@ -2,23 +2,32 @@
 
 Architecture (one event loop, no third-party dependencies)::
 
+    connection ──> request, request, ...   (HTTP/1.1 keep-alive)
+                      │
     POST /v1/jobs ──> parse ──> coalescer ──┬─ follower: await leader future
+                                            ├─ every job cached: done at admission
                                             └─ leader:  admission queue
                                                             │ (bounded; full → 429)
                               dispatcher tasks  <───────────┘
                                     │ run_in_executor (thread)
                                     ▼
-                        run_jobs(...)  — the PR 2 runner, unchanged
+                        run_jobs(...)  — the sweep runner, unchanged
                         (process pool or serial, disk cache, cancel hook)
 
-The event loop only ever parses requests and moves bookkeeping;
-executions happen on a small thread pool, each thread either running
-the sweep serially or managing its own process pool
+One handler task per connection serves its requests in order until the
+client closes it, asks for ``Connection: close``, speaks HTTP/1.0 or
+sends a malformed request (answered 400, then closed), or the server
+drains.  The event loop only ever parses requests, moves bookkeeping
+and reads the cache records of a submission it can answer at
+admission; executions happen on a small thread pool, each thread
+either running the sweep serially or managing its own process pool
 (``job_workers``).  Determinism is inherited wholesale from the
-runner: the service stores each execution's results as the canonical
-JSON Lines text of :func:`repro.core.runner.write_jsonl`, so two
-submissions of the same work — coalesced, cache-warm, or cold —
-return byte-identical ``results_jsonl``.
+runner: both paths read records through
+:func:`repro.core.runner.cached_result` and the service stores each
+submission's results as the canonical JSON Lines text of
+:func:`repro.core.runner.write_jsonl`, so two submissions of the same
+work — coalesced, answered at admission, cache-warm, or cold — return
+byte-identical ``results_jsonl``.
 
 Lifecycle of a job record::
 
@@ -27,10 +36,11 @@ Lifecycle of a job record::
        └──────────┴───────> cancelled  (DELETE, or drain without grace)
 
 Shutdown (:meth:`ExperimentService.stop`) closes admission first
-(submissions get a structured ``shutting_down`` rejection), then
-drains: queued and running work completes within ``drain_timeout``
-seconds, after which stragglers are cancelled through the runner's
-cancel hook.
+(submissions get a structured ``shutting_down`` rejection, and every
+response says ``Connection: close``), then drains: queued and running
+work completes within ``drain_timeout`` seconds, after which
+stragglers are cancelled through the runner's cancel hook.  Last, the
+listening socket and the connections idle between requests close.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from threading import Event as ThreadEvent
 from typing import Any
 
 from ..core.cache import SweepCache
-from ..core.runner import SweepCancelled, run_jobs, write_jsonl
+from ..core.runner import SweepCancelled, cached_result, run_jobs, write_jsonl
 from ..errors import ConfigurationError, ReproError
 from .coalescer import Coalescer
 from .metrics import ServiceMetrics
@@ -72,6 +82,7 @@ from .queue import AdmissionQueue, QueueFullError
 __all__ = ["ExperimentService", "JobRecord", "serve"]
 
 _MAX_BODY_BYTES = 8 << 20
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 _REASONS = {
     200: "OK",
     201: "Created",
@@ -217,6 +228,8 @@ class ExperimentService:
         self._draining = False
         self._in_flight = 0
         self._server: asyncio.AbstractServer | None = None
+        self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}  # handler → writer
+        self._idle: set[asyncio.StreamWriter] = set()
         self._dispatchers: list[asyncio.Task] = []
         self._executor: ThreadPoolExecutor | None = None
         self.port: int | None = None
@@ -265,6 +278,16 @@ class ExperimentService:
             await asyncio.wait(followers, timeout=5.0)
         if self._server is not None:
             self._server.close()
+            # a connection idle between requests would keep its handler,
+            # and Server.wait_closed on Python 3.12+, waiting for ever
+            for writer in self._idle:
+                writer.close()
+            if self._conns:
+                _, stuck = await asyncio.wait(list(self._conns), timeout=5.0)
+                if stuck:  # clients that stopped reading their responses
+                    for task in stuck:
+                        self._conns[task].transport.abort()
+                    await asyncio.wait(stuck, timeout=1.0)
             await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
@@ -284,7 +307,8 @@ class ExperimentService:
                 del self._jobs[jid]
 
     def submit(self, body: Any) -> dict:
-        """Admit one submission; returns its job view (state ``queued``)."""
+        """Admit one submission; returns its job view: ``queued``, or
+        ``done`` when the cache already holds every job's record."""
         if self._draining:
             self.metrics.inc("rejected_shutting_down")
             raise ProtocolError(ERR_SHUTTING_DOWN, "service is draining")
@@ -303,6 +327,15 @@ class ExperimentService:
             record.task = asyncio.create_task(
                 self._follow(record, entry.future), name=f"follow-{record.id}"
             )
+            return record.view(include_results=False)
+
+        payload = self._cached_payload(submission)
+        if payload is not None:
+            # finished work: no queue slot, no execution
+            self.metrics.inc("cache_answers")
+            self._track(record)
+            self._finish(record, DONE, payload=payload)
+            self.metrics.inc("completed")
             return record.view(include_results=False)
 
         entry = self._coalescer.lead(record.key, record.id)
@@ -369,6 +402,22 @@ class ExperimentService:
             return False
         root = None if self._cache_conf is True else self._cache_conf
         return SweepCache(root, **self._cache_caps)
+
+    def _cached_payload(self, submission: Submission) -> dict | None:
+        """The result payload if the cache holds a record for every job
+        of ``submission``, else ``None``.  A miss leaves the lookups
+        uncounted: the execution looks the jobs up again."""
+        if self._cache_conf is False:
+            return None
+        cache = self._make_cache()
+        results = []
+        for job in submission.jobs:
+            _, result = cached_result(job, cache)
+            if result is None:
+                return None
+            results.append(result)
+        self.metrics.record_cache_traffic(cache)
+        return _result_payload(results)
 
     def _checkpoint_spec(self, record: JobRecord) -> dict | None:
         """Server defaults merged under the submission's own spec."""
@@ -439,11 +488,7 @@ class ExperimentService:
                 self.metrics.inc("failed")
                 self._coalescer.reject(record.key, err)
                 return
-            payload = {
-                "results_jsonl": write_jsonl(results),
-                "jobs_cached": sum(1 for r in results if r.cached),
-                "jobs_fresh": sum(1 for r in results if not r.cached),
-            }
+            payload = _result_payload(results)
             self._finish(record, DONE, payload=payload)
             self.metrics.inc("completed")
             self._coalescer.resolve(record.key, payload)
@@ -522,28 +567,40 @@ class ExperimentService:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection's requests in order (see the module
+        docstring for when it closes)."""
+        task = asyncio.current_task()
+        self._conns[task] = writer
+        task.add_done_callback(lambda done: self._conns.pop(done, None))
         try:
-            try:
-                method, path, body = await self._read_request(reader)
-            except ProtocolError as exc:
-                status, payload = exc.status, exc.to_dict()
-            except (asyncio.IncompleteReadError, ValueError, UnicodeDecodeError):
-                status, payload = 400, ProtocolError(
-                    ERR_BAD_REQUEST, "malformed HTTP request"
-                ).to_dict()
-            else:
-                status, payload = self._route(method, path, body)
-            text = json.dumps(payload, sort_keys=True)
-            reason = _REASONS.get(status, "OK")
-            head = (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(text.encode())}\r\n"
-                "Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode() + text.encode())
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):  # pragma: no cover - client gone
+            while self._server.is_serving():
+                self._idle.add(writer)
+                try:
+                    request = await self._read_request(reader)
+                except ProtocolError as exc:
+                    request = exc  # answered, then the connection closes
+                finally:
+                    self._idle.discard(writer)
+                if request is None or writer.is_closing():
+                    break  # the client closed, or stop() closed the idle connection
+                if isinstance(request, ProtocolError):
+                    status, payload, keep_alive = request.status, request.to_dict(), False
+                else:
+                    method, path, body, keep_alive = request
+                    status, payload = self._route(method, path, body)
+                keep_alive = keep_alive and not self._draining
+                text = _ENCODE(payload).encode()
+                writer.write(
+                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {len(text)}\r\n"
+                    f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+                    .encode() + text
+                )
+                await writer.drain()
+                if not keep_alive:
+                    break
+        except (ConnectionError, BrokenPipeError):  # client gone, or aborted by stop()
             pass
         finally:
             writer.close()
@@ -553,29 +610,42 @@ class ExperimentService:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
-        if len(parts) != 3:
-            raise ProtocolError(ERR_BAD_REQUEST, f"bad request line: {request_line!r}")
-        method, path, _version = parts
-        headers = {}
-        while True:
+        """The next request on a connection as ``(method, path, body,
+        keep_alive)``, or ``None`` if the client closed the connection
+        between requests; anything malformed raises ``bad_request``."""
+        try:
             line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        if length < 0 or length > _MAX_BODY_BYTES:
-            raise ProtocolError(ERR_BAD_REQUEST, f"unreasonable body size {length}")
+            if not line:
+                return None
+            request_line = line.decode("latin-1").strip()
+            parts = request_line.split()
+            if len(parts) != 3:
+                raise ProtocolError(ERR_BAD_REQUEST, f"bad request line: {request_line!r}")
+            method, path, version = parts
+            headers = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            if "transfer-encoding" in headers:
+                raise ProtocolError(ERR_BAD_REQUEST, "chunked bodies are not supported")
+            length = int(headers.get("content-length", 0) or 0)
+            if length < 0 or length > _MAX_BODY_BYTES:
+                raise ProtocolError(ERR_BAD_REQUEST, f"unreasonable body size {length}")
+            raw = await reader.readexactly(length) if length else b""
+        except (asyncio.IncompleteReadError, ValueError, UnicodeDecodeError):
+            raise ProtocolError(ERR_BAD_REQUEST, "malformed HTTP request") from None
         body = None
-        if length:
-            raw = await reader.readexactly(length)
+        if raw:
             try:
                 body = json.loads(raw)
             except ValueError as exc:
                 raise ProtocolError(ERR_BAD_REQUEST, f"body is not JSON: {exc}") from None
-        return method.upper(), path, body
+        tokens = {t.strip() for t in headers.get("connection", "").lower().split(",")}
+        keep_alive = version == "HTTP/1.1" and "close" not in tokens
+        return method.upper(), path, body, keep_alive
 
     def _route(self, method: str, path: str, body: Any) -> tuple[int, dict]:
         try:
@@ -598,6 +668,15 @@ class ExperimentService:
             return exc.status, exc.to_dict()
         except ReproError as exc:
             return 500, ProtocolError(ERR_INTERNAL, str(exc)).to_dict()
+
+
+def _result_payload(results: list) -> dict:
+    """A finished submission's results as the job record stores them."""
+    return {
+        "results_jsonl": write_jsonl(results),
+        "jobs_cached": sum(1 for r in results if r.cached),
+        "jobs_fresh": sum(1 for r in results if not r.cached),
+    }
 
 
 def _reap(fut) -> None:

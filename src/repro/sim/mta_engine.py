@@ -60,9 +60,10 @@ __all__ = ["MTAEngine", "MTAMachine", "check_at_least_one"]
 
 def check_at_least_one(**values: int) -> None:
     """Raise :class:`~repro.errors.ConfigurationError` naming the first
-    of ``values`` below 1: the machine's sizes, and the stream count and
-    chunk size the MTA programs and the Alg. 3 counterpart check before
-    any engine phase or step (a chunk of 0 would spin until the watchdog).
+    of ``values`` below 1: the machine's sizes, and the stream count,
+    walk length and chunk size the MTA programs and the Alg. 3
+    counterpart check before any engine phase or step (a chunk of 0
+    would spin until the watchdog).
     """
     for name, value in values.items():
         if value < 1:

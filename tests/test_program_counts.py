@@ -1,11 +1,12 @@
-"""A stream count or chunk size below 1 is a configuration error.
+"""A stream count, walk length or chunk size below 1 is a configuration error.
 
 ``edges_per_chunk=0`` used to hang the MTA CC engine (each graft stream
 fetch-added 0 and re-read the same empty chunk until the watchdog) and
 crash the xval counterpart with a ``ZeroDivisionError``;
 ``streams_per_proc=0`` on MTA list ranking failed with an unrelated
-barrier error.  The MTA programs and the Alg. 3 counterpart now share
-one check, made before any engine phase or counterpart step runs.
+barrier error, and ``nodes_per_walk`` of 0 or below ran silently as 1.
+The MTA programs and the Alg. 3 counterpart now share one check, made
+before any engine phase or counterpart step runs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.backends import Workload
 from repro.core import Job, run_jobs
 from repro.errors import ConfigurationError
 from repro.graphs import random_graph
+from repro.lists import random_list
+from repro.lists.programs import simulate_mta_list_ranking
 from repro.sim.kernel import Engine
 from repro.xval.counterpart import _mta_cc_steps
 
@@ -38,6 +41,9 @@ BAD = [
     ("cc", "cost-xval", _CC, {"machine": "mta", "streams_per_proc": -2}, "streams_per_proc"),
     ("rank", "mta-engine", {"n": 64}, {"streams_per_proc": 0}, "streams_per_proc"),
     ("rank", "mta-next-engine", {"n": 64}, {"streams_per_proc": -1}, "streams_per_proc"),
+    ("rank", "mta-engine", {"n": 64}, {"nodes_per_walk": 0}, "nodes_per_walk"),
+    ("rank", "mta-engine", {"n": 64}, {"nodes_per_walk": -5}, "nodes_per_walk"),
+    ("rank", "mta-next-engine", {"n": 64}, {"nodes_per_walk": 0}, "nodes_per_walk"),
 ]
 
 
@@ -72,6 +78,16 @@ def test_counterpart_rejects_before_any_step(name, value):
         _mta_cc_steps(random_graph(64, 128, rng=0), 2, max_iter=64, **counts)
 
 
+@pytest.mark.parametrize("value", [0, -5])
+def test_list_ranking_rejects_walk_length_before_any_engine_phase(monkeypatch, value):
+    runs = []
+    monkeypatch.setattr(Engine, "run", lambda self, *args, **kwargs: runs.append(args))
+    with pytest.raises(ConfigurationError, match=f"nodes_per_walk must be >= 1, got {value}"):
+        simulate_mta_list_ranking(random_list(64, rng=0), 2, streams_per_proc=4,
+                                  nodes_per_walk=value)
+    assert runs == []
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -83,8 +99,13 @@ def test_counterpart_rejects_before_any_step(name, value):
           "--opt", "machine=mta", "--opt", "edges_per_chunk=0"], "edges_per_chunk"),
         (["--workload", "rank", "--backend", "mta-engine",
           "--opt", "streams_per_proc=0"], "streams_per_proc"),
+        (["--workload", "rank", "--backend", "mta-engine", "--opt", "streams_per_proc=4",
+          "--opt", "nodes_per_walk=0"], "nodes_per_walk"),
+        (["--workload", "rank", "--backend", "mta-engine", "--opt", "streams_per_proc=4",
+          "--opt", "nodes_per_walk=-5"], "nodes_per_walk"),
     ],
-    ids=["cc-chunk-0", "cc-chunk-neg", "xval-chunk-0", "rank-streams-0"],
+    ids=["cc-chunk-0", "cc-chunk-neg", "xval-chunk-0", "rank-streams-0", "rank-walk-0",
+         "rank-walk-neg"],
 )
 def test_cli_exits_2_within_seconds(argv, name):
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -11,15 +11,27 @@ exactly as long as the test needs it to.
 """
 
 import asyncio
+import glob
+import http.client
 import json
+import os
+import pathlib
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
 import repro.core.runner as runner_mod
 from repro.core.runner import run_jobs, write_jsonl
 from repro.service import ExperimentService, ServiceClient, ServiceError
+from repro.service.protocol import parse_submission
 from repro.workloads import jobs_for
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class Harness:
@@ -30,6 +42,7 @@ class Harness:
         self.service_kwargs = service_kwargs
         self.service: ExperimentService | None = None
         self.port: int | None = None
+        self.clients: list[ServiceClient] = []
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -46,6 +59,8 @@ class Harness:
         return self
 
     def stop(self, drain: bool = True) -> None:
+        """Stop the service while its clients still hold their
+        connections, then close the clients."""
         if self.service is not None:
             asyncio.run_coroutine_threadsafe(
                 self.service.stop(drain=drain), self.loop
@@ -53,9 +68,13 @@ class Harness:
         self.loop.call_soon_threadsafe(self.loop.stop)
         self._thread.join(10)
         self.loop.close()
+        for client in self.clients:
+            client.close()
 
     def client(self, **kw) -> ServiceClient:
-        return ServiceClient("127.0.0.1", self.port, **kw)
+        client = ServiceClient("127.0.0.1", self.port, **kw)
+        self.clients.append(client)
+        return client
 
     def on_loop(self, fn):
         """Run ``fn()`` on the service's event loop and return its value."""
@@ -120,8 +139,6 @@ def rank_body(n=512, seed=0, **extra):
 
 
 def wait_for(predicate, timeout=10.0, poll=0.02):
-    import time
-
     deadline = time.monotonic() + timeout
     while not predicate():
         if time.monotonic() >= deadline:
@@ -270,6 +287,7 @@ class TestCoalescing:
             t.join(10)
         assert not errors
         assert all(v["coalesced_with"] == leader["id"] for v in views)
+        assert len(c._conns) == 4  # one connection per calling thread
 
         opened.set()
         finals = [c.wait(v["id"], timeout=30) for v in [leader] + views]
@@ -286,13 +304,15 @@ class TestCoalescing:
         h = harness()
         c = h.client()
         first = c.wait(c.submit(rank_body())["id"], timeout=30)
-        second = c.wait(c.submit(rank_body())["id"], timeout=30)
+        submitted = c.submit(rank_body())
+        assert submitted["state"] == "done"  # answered at admission
+        second = c.wait(submitted["id"], timeout=30)
         assert second["result"]["jobs_cached"] == 1
         assert second["result"]["jobs_fresh"] == 0
         assert second["results_jsonl"] == first["results_jsonl"]
         m = c.metrics()
-        assert m["counters"]["executions"] == 2  # two executions...
-        assert m["counters"]["cache_hits"] == 1  # ...but one hit the cache
+        assert m["counters"]["executions"] == 1  # only the cold run executed...
+        assert m["counters"]["cache_hits"] == 1  # ...the resubmission hit the cache
 
     def test_different_work_does_not_coalesce(self, harness, gate):
         opened, _ = gate
@@ -443,6 +463,258 @@ class TestDrain:
         h.stop(drain=True)  # returns only after the backlog drains
         svc = h.service
         assert all(svc._jobs[v["id"]].state == "done" for v in views)
+
+
+def raw_exchange(port: int, data: bytes) -> bytes:
+    """Send ``data`` on a new socket; everything read until the server
+    closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def split_responses(data: bytes) -> list[tuple[int, dict, dict]]:
+    """``(status, headers, decoded body)`` of each response in ``data``."""
+    out = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        out.append((int(status_line.split()[1]), headers, json.loads(rest[:length])))
+        data = rest[length:]
+    return out
+
+
+HEALTH = b"GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n"
+
+
+class TestPersistentConnections:
+    def test_requests_ride_one_connection(self, harness):
+        h = harness()
+        c = h.client()
+        c.health()
+        sock = c._connection().sock
+        view = c.submit(rank_body(n=64))
+        assert c.wait(view["id"], timeout=30)["state"] == "done"
+        c.metrics()
+        assert c._connection().sock is sock
+        assert h.on_loop(lambda: len(h.service._conns)) == 1
+
+    def test_pipelined_requests_on_a_raw_socket(self, harness):
+        h = harness()
+        close = HEALTH.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+        replies = split_responses(raw_exchange(h.port, HEALTH + HEALTH + close))
+        assert [status for status, _, _ in replies] == [200, 200, 200]
+        assert [headers["connection"] for _, headers, _ in replies] == [
+            "keep-alive", "keep-alive", "close"]
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /v1/health HTTP/1.0\r\n\r\n",
+    ], ids=["connection-close", "http-1.0"])
+    def test_one_response_then_eof(self, harness, request_bytes):
+        replies = split_responses(raw_exchange(harness().port, request_bytes))
+        assert len(replies) == 1
+        status, headers, body = replies[0]
+        assert (status, headers["connection"], body["status"]) == (200, "close", "ok")
+
+    @pytest.mark.parametrize("malformed", [
+        b"NONSENSE\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 5\r\n\r\n{nope",
+        b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+    ], ids=["request-line", "content-length", "body", "chunked"])
+    def test_malformed_request_is_400_then_close(self, harness, malformed):
+        replies = split_responses(raw_exchange(harness().port, HEALTH + malformed))
+        assert [(status, headers["connection"]) for status, headers, _ in replies] == [
+            (200, "keep-alive"), (400, "close")]
+        assert replies[1][2]["error"]["code"] == "bad_request"
+
+    def test_client_reconnects_after_the_server_closes(self, harness):
+        h = harness()
+        c = h.client()
+        c.health()
+        sock = c._connection().sock
+        # the server drops the idle connection under the client
+        h.on_loop(lambda: [writer.close() for writer in h.service._idle])
+        wait_for(lambda: h.on_loop(lambda: len(h.service._conns)) == 0)
+        view = c.submit(rank_body(n=64))  # retried once, on a new connection
+        assert c._connection().sock is not sock
+        assert c.wait(view["id"], timeout=30)["state"] == "done"
+        assert c.metrics()["counters"]["submitted"] == 1
+
+    def test_retry_is_single_and_failure_stays_transport(self, tmp_path, monkeypatch):
+        h = Harness(cache=str(tmp_path / "cache"), job_workers=0).start()
+        with ServiceClient("127.0.0.1", h.port) as c:  # not closed by h.stop()
+            c.health()
+            h.stop()  # closes the server's side of c's idle connection
+            connects = []
+            real_connect = http.client.HTTPConnection.connect
+
+            def counted_connect(self):
+                connects.append(self)
+                return real_connect(self)
+
+            monkeypatch.setattr(http.client.HTTPConnection, "connect", counted_connect)
+            with pytest.raises(ServiceError) as exc:
+                c.health()
+        assert exc.value.code == "transport"
+        assert len(connects) == 1  # the stale connection's one retry, refused
+
+    def test_stop_returns_with_idle_connections_open(self, tmp_path):
+        h = Harness(cache=str(tmp_path / "cache"), job_workers=0).start()
+        c = h.client()
+        c.health()  # a keep-alive connection, now idle
+        with socket.create_connection(("127.0.0.1", h.port), timeout=10) as idle:
+            wait_for(lambda: h.on_loop(lambda: len(h.service._conns)) == 2)
+            t0 = time.monotonic()
+            h.stop()
+            assert time.monotonic() - t0 < 2  # stop() waits 5 s for busy handlers
+            assert h.service._conns == {}
+            assert idle.recv(1) == b""  # the server closed it
+
+    def test_stop_drops_a_client_that_stopped_reading(self, tmp_path):
+        h = Harness(cache=str(tmp_path / "cache"), job_workers=0).start()
+        with socket.socket() as stuck:
+            stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stuck.connect(("127.0.0.1", h.port))
+            stuck.setblocking(False)
+            try:  # pipelined requests whose answers overflow every buffer
+                for _ in range(1_000_000):
+                    stuck.send(HEALTH)
+            except BlockingIOError:
+                pass
+            t0 = time.monotonic()
+            h.stop()
+            assert time.monotonic() - t0 < 10  # 5 s for busy handlers, then abort
+            assert h.service._conns == {}
+
+    def test_serve_exits_on_sigint_with_idle_connections(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = proc.stderr.readline()
+            assert "listening on http://" in line, line
+            with ServiceClient(port=int(line.rsplit(":", 1)[1])) as c:
+                c.wait_until_up(timeout=30)
+                assert c.wait(c.submit(rank_body(n=64))["id"], timeout=60)["state"] == "done"
+                t0 = time.monotonic()
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=30)
+                assert time.monotonic() - t0 < 4  # stop() waits 5 s for busy handlers
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        assert "draining" in err
+
+
+TWO_JOBS = {"jobs": [rank_body(), rank_body(backend="mta-model")]}
+
+
+class TestAnswerAtAdmission:
+    """A submission whose every job already has a stored record is
+    answered by ``submit`` itself: no queue slot, no execution."""
+
+    def test_resubmission_is_done_at_admission(self, harness):
+        c = harness().client()
+        cold = c.wait(c.submit(TWO_JOBS)["id"], timeout=30)
+        view = c.submit(TWO_JOBS)
+        assert view["state"] == "done"
+        assert view["result"] == {"jobs": 2, "jobs_cached": 2, "jobs_fresh": 0}
+        warm = c.job(view["id"])  # the first GET carries the results
+        direct = write_jsonl(run_jobs(parse_submission(TWO_JOBS).jobs, cache=False))
+        assert warm["results_jsonl"] == cold["results_jsonl"] == direct
+        counters = c.metrics()["counters"]
+        assert counters["executions"] == 1
+        assert counters["cache_answers"] == 1
+        assert counters["completed"] == 2
+
+    def test_partly_cached_submission_executes(self, harness):
+        c = harness().client()
+        c.wait(c.submit(rank_body(seed=0))["id"], timeout=30)
+        view = c.submit({"jobs": [rank_body(seed=0), rank_body(seed=1)]})
+        assert view["state"] == "queued"
+        final = c.wait(view["id"], timeout=30)
+        assert final["result"] == {"jobs": 2, "jobs_cached": 1, "jobs_fresh": 1}
+        counters = c.metrics()["counters"]
+        assert counters["executions"] == 2
+        assert counters.get("cache_answers", 0) == 0
+        # the admission lookups that missed are not counted: only the
+        # executions' (seed 0: miss; seeds 0 and 1: hit, miss)
+        assert (counters["cache_hits"], counters["cache_misses"],
+                counters["cache_stores"]) == (1, 2, 2)
+
+    def test_duplicate_of_in_flight_work_coalesces(self, harness, gate, tmp_path):
+        opened, calls = gate
+        opened.set()
+        h = harness(dispatchers=1, queue_limit=4)
+        c = h.client()
+        cold = c.wait(c.submit(rank_body())["id"], timeout=30)
+        (stored,) = glob.glob(str(tmp_path / "cache" / "rows" / "*" / "*.json"))
+        os.replace(stored, stored + ".aside")
+        opened.clear()
+        leader = c.submit(rank_body())
+        wait_for(lambda: len(calls) == 2)  # the leader missed the cache and runs
+        os.replace(stored + ".aside", stored)  # the record is back while in flight
+        twin = c.submit(rank_body())
+        assert twin["coalesced_with"] == leader["id"]
+        opened.set()
+        finals = [c.wait(v["id"], timeout=30) for v in (leader, twin)]
+        assert {f["results_jsonl"] for f in finals} == {cold["results_jsonl"]}
+        assert len(calls) == 2
+
+    def test_draining_server_refuses_cached_work(self, harness):
+        h = harness()
+        c = h.client()
+        c.wait(c.submit(rank_body())["id"], timeout=30)
+        h.on_loop(lambda: setattr(h.service, "_draining", True))
+        with pytest.raises(ServiceError) as exc:
+            c.submit(rank_body())
+        assert exc.value.code == "shutting_down" and exc.value.status == 503
+
+    def test_answered_while_the_queue_is_full(self, harness, gate):
+        opened, _ = gate
+        opened.set()
+        h = harness(dispatchers=1, queue_limit=1)
+        c = h.client()
+        cold = c.wait(c.submit(rank_body(seed=0))["id"], timeout=30)
+        opened.clear()
+        running = c.submit(rank_body(seed=1))
+        wait_for(lambda: c.job(running["id"])["state"] == "running")
+        queued = c.submit(rank_body(seed=2))
+        with pytest.raises(ServiceError) as exc:
+            c.submit(rank_body(seed=3))
+        assert exc.value.code == "queue_full"
+        view = c.submit(rank_body(seed=0))
+        assert view["state"] == "done"
+        assert c.job(view["id"])["results_jsonl"] == cold["results_jsonl"]
+        opened.set()
+        for v in (running, queued):
+            assert c.wait(v["id"], timeout=30)["state"] == "done"
+
+    def test_cache_disabled_server_never_answers_at_admission(self, harness):
+        c = harness(cache=False).client()
+        cold = c.wait(c.submit(rank_body())["id"], timeout=30)
+        view = c.submit(rank_body())
+        assert view["state"] == "queued"
+        final = c.wait(view["id"], timeout=30)
+        assert final["result"]["jobs_fresh"] == 1
+        assert final["results_jsonl"] == cold["results_jsonl"]
+        counters = c.metrics()["counters"]
+        assert counters["executions"] == 2
+        assert counters.get("cache_answers", 0) == 0
 
 
 class TestDeterminismThroughService:
