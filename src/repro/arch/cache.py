@@ -22,7 +22,11 @@ address stream at a time (the SMP model's trace mode):
   tests check the vectorized simulator against, and the state of an
   associative level.
 * :class:`CacheHierarchy` — composes L1 and L2: the L2 sees exactly the
-  L1 miss stream, in program order.
+  L1 miss stream, in program order.  Its per-access lookup, built with
+  the levels, resolves both direct-mapped levels in one call (every
+  configuration in use; an associative level is asked through
+  :meth:`Cache.access`), since the SMP cycle engine makes one such call
+  per simulated load and store.
 
 Addresses everywhere are non-negative *word* addresses (64-bit words);
 ``line_words`` converts to cache-line granularity.
@@ -248,6 +252,49 @@ def _make_level(config: CacheConfig):
     return _DirectMapped(config) if config.associativity == 1 else Cache(config)
 
 
+def _lookup(l1, l2):
+    """The per-access lookup of a hierarchy with levels ``l1`` and ``l2``:
+    ``access(word_addr)`` returns the level that served the word
+    (``"l1"``, ``"l2"`` or ``"mem"``).  When both levels are
+    direct-mapped it resolves both in one frame, reading and writing the
+    levels' own tag tables and :class:`CacheStats` objects in place, so
+    it stays valid across :meth:`_DirectMapped.access_stream` calls; an
+    associative level is asked through its own ``access``.
+    """
+    if type(l1) is not _DirectMapped or type(l2) is not _DirectMapped:
+
+        def access(word_addr: int) -> str:
+            if l1.access(word_addr):
+                return "l1"
+            if l2.access(word_addr):
+                return "l2"
+            return "mem"
+
+        return access
+
+    tags1, shift1, mask1, stats1 = l1._sets, l1._shift, l1._mask, l1.stats
+    tags2, shift2, mask2, stats2 = l2._sets, l2._shift, l2._mask, l2.stats
+
+    def access(word_addr: int) -> str:
+        line = word_addr >> shift1
+        idx = line & mask1
+        stats1.accesses += 1
+        if tags1[idx] == line:
+            stats1.hits += 1
+            return "l1"
+        tags1[idx] = line
+        line = word_addr >> shift2
+        idx = line & mask2
+        stats2.accesses += 1
+        if tags2[idx] == line:
+            stats2.hits += 1
+            return "l2"
+        tags2[idx] = line
+        return "mem"
+
+    return access
+
+
 def _pack_level(level) -> tuple:
     """One level as plain data: geometry, statistics and set contents."""
     c, s = level.config, level.stats
@@ -268,11 +315,17 @@ class CacheHierarchy:
 
     The L2 observes exactly the stream of L1 misses, in program order —
     the inclusion policy the E4500 used.  Each level has one state (see
-    the module docstring), which :meth:`access` (the SMP cycle engine's
+    the module docstring), which :attr:`access` (the SMP cycle engine's
     loads and stores) and :meth:`simulate_stream` (the SMP model's trace
     mode) both advance: each call sees the lines earlier calls left, so
     a multi-step algorithm's later steps benefit from the data its
     earlier steps touched, as on the real machine.
+
+    ``access(word_addr)`` accesses one word and returns the level that
+    served it: ``"l1"``, ``"l2"`` or ``"mem"``.  It is a function bound
+    to this hierarchy's levels when they are built (by the constructor
+    or :meth:`from_state`), so copy a hierarchy through
+    :meth:`to_state`/:meth:`from_state`, which rebinds it.
     """
 
     def __init__(self, l1: CacheConfig, l2: CacheConfig) -> None:
@@ -280,6 +333,7 @@ class CacheHierarchy:
         self.l2 = l2
         self._l1 = _make_level(l1)
         self._l2 = _make_level(l2)
+        self.access = _lookup(self._l1, self._l2)
 
     @property
     def l1_stats(self) -> CacheStats:
@@ -305,15 +359,6 @@ class CacheHierarchy:
             CacheStats(accesses=len(l2_hits), hits=int(l2_hits.sum())),
         )
 
-    def access(self, word_addr: int) -> str:
-        """Access one word; return the level that served it:
-        ``"l1"``, ``"l2"`` or ``"mem"``."""
-        if self._l1.access(word_addr):
-            return "l1"
-        if self._l2.access(word_addr):
-            return "l2"
-        return "mem"
-
     # -- serializable-state contract (checkpoint/restore) ---------------------
 
     STATE_VERSION = 2
@@ -338,6 +383,7 @@ class CacheHierarchy:
         l1, l2 = _unpack_level(state["l1"]), _unpack_level(state["l2"])
         h = cls(l1.config, l2.config)
         h._l1, h._l2 = l1, l2
+        h.access = _lookup(l1, l2)
         return h
 
 

@@ -228,15 +228,20 @@ def _execute_payload(payload: dict) -> str:
     return canonical_json(record)
 
 
-def cached_result(job: Job, cache: SweepCache) -> tuple[str, JobResult | None]:
+def cached_result(
+    job: Job, cache: SweepCache, key: str | None = None
+) -> tuple[str, JobResult | None]:
     """``job``'s cache key and its stored result, or ``None`` on a miss.
 
     The one cache read of the record path: :func:`run_jobs` and the
-    service's admission both call it.  Stored text that is not a record
-    (not JSON, or not a JSON object holding a ``summary`` object) is
-    counted as a miss; the runner recomputes and overwrites it.
+    service's admission both call it.  ``key`` is ``job.key()`` when the
+    caller has already hashed it (the service does so once per job when
+    it parses a submission).  Stored text that is not a record (not
+    JSON, or not a JSON object holding a ``summary`` object) is counted
+    as a miss; the runner recomputes and overwrites it.
     """
-    key = job.key()
+    if key is None:
+        key = job.key()
     text = cache.get(key)
     if text is None:
         return key, None

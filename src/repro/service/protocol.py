@@ -38,8 +38,8 @@ and clients never string-match messages.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
 from ..backends.base import Workload, canonical_json, checkpoint_spec
 from ..core.runner import Job
@@ -124,10 +124,16 @@ class Submission:
     #: Checkpoint spec for the execution (``{"every", "dir", "resume"}``),
     #: or None — the server may still apply its own defaults.
     checkpoint: Mapping[str, Any] | None = None
+    #: Each job's cache key (:meth:`~repro.core.runner.Job.key`), hashed
+    #: once when the submission is built; the admission lookup reads them.
+    job_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: :func:`submission_key` of the jobs and the checkpoint spec.
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> str:
-        return submission_key(self.jobs, self.checkpoint)
+    def __post_init__(self) -> None:
+        job_keys = tuple(job.key() for job in self.jobs)
+        object.__setattr__(self, "job_keys", job_keys)
+        object.__setattr__(self, "key", _digest(job_keys, self.checkpoint))
 
     def describe(self) -> dict:
         """The submission echo included in every job view."""
@@ -162,7 +168,12 @@ def submission_key(
     submissions keep their historical keys while checkpointed or
     resuming ones stand alone.
     """
-    payload: Any = [job.key() for job in jobs]
+    return _digest([job.key() for job in jobs], checkpoint)
+
+
+def _digest(job_keys: Sequence[str], checkpoint: Mapping[str, Any] | None) -> str:
+    """:func:`submission_key` from the jobs' already computed keys."""
+    payload: Any = list(job_keys)
     if checkpoint:
         payload = {"jobs": payload, "checkpoint": dict(checkpoint)}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()

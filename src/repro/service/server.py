@@ -411,8 +411,8 @@ class ExperimentService:
             return None
         cache = self._make_cache()
         results = []
-        for job in submission.jobs:
-            _, result = cached_result(job, cache)
+        for job, key in zip(submission.jobs, submission.job_keys, strict=True):
+            _, result = cached_result(job, cache, key)
             if result is None:
                 return None
             results.append(result)

@@ -125,9 +125,8 @@ class VectorProfile:
         Interleaved machines only: every memory reference completes in
         exactly ``mem_latency`` cycles (no bank queueing), which is
         what makes the LD-window schedule computable in closed form.
-        Event machines leave it False — their fast path is inline
-        superblock continuation inside the kernel loop, which needs no
-        memory assumptions.
+        Event machines leave it False — both tiers run the same event
+        loop there, which needs no memory assumptions.
     """
 
     uniform_mem: bool = False

@@ -26,7 +26,8 @@ Two scheduling disciplines cover the paper's machines:
     One thread per processor, each advancing in its own local time;
     a heap of ``(time, proc)`` orders them globally (the SMP: threads
     interact only through the bus and barriers, so there is no
-    per-cycle loop and large programs simulate quickly).
+    per-cycle loop and large programs simulate quickly).  Both tiers
+    run one loop, which takes each next thread with one ``heappushpop``.
 ``"interleaved"``
     Many streams per processor, one instruction issued per processor
     per cycle from some ready stream, round-robin, with fast-forward
@@ -145,7 +146,8 @@ class MachineModel:
         ``proc.ready.append``, or ``kernel.block_until``) and emits any
         spans/sync events through the kernel's hook shortcuts.
 
-        ``BARRIER`` and ``PHASE`` need no entry: the kernel owns them.
+        ``BARRIER``, ``PHASE`` and ``RUN_BLOCK`` are the kernel's own
+        tags and have no entry.
         """
         raise NotImplementedError
 
@@ -744,9 +746,9 @@ class SimKernel:
                 for fn in h_start:
                     fn(name, self.p)
         try:
-            if self.event_mode:
+            if self.event_mode:  # both tiers run the one event loop
                 report = self._run_event(
-                    name, budget, fast, checkpoint_every, checkpoint_sink, ctx
+                    name, budget, checkpoint_every, checkpoint_sink, ctx
                 )
             else:
                 report = self._run_interleaved(
@@ -766,7 +768,6 @@ class SimKernel:
         self,
         name: str,
         budget: int,
-        fast: bool = False,
         ckpt_every: int | None = None,
         ckpt_sink=None,
         ctx: dict | None = None,
@@ -774,8 +775,8 @@ class SimKernel:
         model = self.model
         threads = self.threads
         p = self.p
-        dispatch = model.handlers(self)
-        dispatch_get = dispatch.get
+        # the machine's handlers, and None for the kernel's own tags
+        dispatch = {**model.handlers(self), PHASE: None, RUN_BLOCK: None, BARRIER: None}
         barrier_cost = model.barrier_release_cost()
         implicit = model.implicit_barriers
         barriers = self._barriers
@@ -797,9 +798,9 @@ class SimKernel:
         rec = self._rec_tids
         rec_append = rec.append if rec is not None else None
         rec_vals = self._rec_vals
-        heappush, heappop = heapq.heappush, heapq.heappop
-        # The heap is fully derivable: it holds exactly one (t.time, tid)
-        # entry per READY thread — identical to the historical
+        heappush, heappop, heappushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
+        # The heap is fully derivable: at a step boundary it holds exactly
+        # one (t.time, tid) entry per READY thread — identical to the historical
         # [(0.0, i) for i in range(p)] on a fresh start, and exactly the
         # restored schedule after a resume.
         heap: list[tuple[float, int]] = [
@@ -810,136 +811,140 @@ class SimKernel:
         next_ckpt = (
             (steps // ckpt_every + 1) * ckpt_every if ckpt_every is not None else None
         )
+        # the step count at which a checkpoint is due or the budget is
+        # spent: one comparison per step covers both
+        gate = budget if next_ckpt is None else min(next_ckpt, budget)
 
-        # One pass of the inner loop is one scheduling step — identical
-        # whether the thread was re-popped from the heap (interpreted)
-        # or continued inline (fast superblock: when the thread's next
-        # event still precedes everything on the heap, push+pop would
-        # return it immediately, so the fast tier skips the heap churn;
-        # the `(time, idx)` tie-break reproduces the heap order exactly).
-        while heap:
-            if next_ckpt is not None and steps >= next_ckpt:
-                self._emit_checkpoint(ckpt_sink, {"steps": steps})
-                next_ckpt = (steps // ckpt_every + 1) * ckpt_every
-            time, idx = heappop(heap)
-            t = threads[idx]
-            inline = True
-            while inline:
-                inline = False
-                steps += 1
-                if steps > budget:
-                    # the aborted step was never executed: the popped
-                    # thread is still READY at `time`, so the snapshot's
-                    # derived heap re-includes it and a resume with a
-                    # larger budget re-attempts exactly this step
+        # One pass of the loop is one scheduling step of the held entry,
+        # the earliest (time, tid) of the READY threads; the heap holds
+        # the others.  A step that leaves its thread READY takes the next
+        # entry with one heappushpop, which hands the thread's new entry
+        # straight back while it still precedes the heap minimum and
+        # otherwise returns that minimum: the push-then-pop order, with
+        # no heap churn while one thread stays earliest.  Entries are
+        # unique, so the order never depends on the heap's layout.
+        entry = heappop(heap) if heap else None
+        while entry is not None:
+            if steps >= gate:
+                # a boundary sees the held thread back on the heap, READY
+                # at its entry's time, as the snapshot derives it
+                heappush(heap, entry)
+                if next_ckpt is not None and steps >= next_ckpt:
+                    self._emit_checkpoint(ckpt_sink, {"steps": steps})
+                    next_ckpt = (steps // ckpt_every + 1) * ckpt_every
+                    gate = min(next_ckpt, budget)
+                if steps >= budget:
+                    # the aborted step is never executed, so a resume
+                    # with a larger budget re-attempts exactly this step
                     self._abort_watchdog(
                         budget,
                         f"exceeded max_ops={budget}",
-                        time,
-                        progress={"steps": steps - 1},
+                        entry[0],
+                        progress={"steps": steps},
                     )
-                blk = t.fblock
-                if blk is not None:
-                    op = blk.ops[t.fbpos]
-                    t.fbpos += 1
-                    if t.fbpos == blk.n:
-                        t.fblock = None
-                else:
-                    sent = t.pending_value
-                    try:
-                        op = t.gen.send(sent)
-                    except StopIteration:
-                        if rec_append is not None:  # replay must re-run the tail
-                            rec_append(idx)
-                            if sent is not None:
-                                rec_vals.append((len(rec) - 1, sent))
-                        t.state = DONE
-                        break
-                    t.pending_value = None
-                    if rec_append is not None:
+                entry = heappop(heap)
+            steps += 1
+            time, idx = entry
+            t = threads[idx]
+            blk = t.fblock
+            if blk is not None:
+                op = blk.ops[t.fbpos]
+                t.fbpos += 1
+                if t.fbpos == blk.n:
+                    t.fblock = None
+            else:
+                sent = t.pending_value
+                try:
+                    op = t.gen.send(sent)
+                except StopIteration:
+                    if rec_append is not None:  # replay must re-run the tail
                         rec_append(idx)
                         if sent is not None:
                             rec_vals.append((len(rec) - 1, sent))
-                tag = op[0]
-                if tag == PHASE:  # zero-cost marker: no slot, no time
-                    if h_phase is not None:
-                        for fn in h_phase:
-                            fn(idx, op[1])
-                    if time > last_mark:
-                        last_mark = time
-                    snaps.append(
-                        (last_mark, op[1], self._issued_total(), dict(op_counts))
-                    )
-                    if fast and not (heap and heap[0] < (time, idx)):
-                        inline = True
-                        continue
-                    heappush(heap, (time, idx))
-                    break
-                if tag == RUN_BLOCK:  # zero-cost macro: expand in place
-                    b = op[1]
-                    if b.n:
-                        t.fblock = b
-                        t.fbpos = 0
-                    if fast and not (heap and heap[0] < (time, idx)):
-                        inline = True
-                        continue
-                    heappush(heap, (time, idx))
-                    break
+                    t.state = DONE
+                    entry = heappop(heap) if heap else None
+                    continue
+                # almost every resume sends None: test it once, and
+                # record a value at the index its resume is logged at
+                if sent is not None:
+                    t.pending_value = None
+                    if rec_append is not None:
+                        rec_vals.append((len(rec), sent))
+                if rec_append is not None:
+                    rec_append(idx)
+            tag = op[0]
+            try:
+                handler = dispatch[tag]
+            except KeyError:
+                raise SimulationError(
+                    f"unknown opcode {tag!r} on {model.kind.upper()} processor {idx}"
+                ) from None
+            if handler is not None:  # a machine op
                 t.issued += 1
                 op_counts[tag] = op_counts.get(tag, 0) + 1
                 if h_op is not None:
                     for fn in h_op:
                         fn(idx, op)
-                if tag == BARRIER:
-                    bid = op[1]
-                    b = barriers.get(bid)
-                    if b is None:
-                        if implicit:
-                            b = barriers[bid] = _Barrier(need=p)
-                        else:
-                            raise SimulationError(
-                                f"barrier {bid!r} was never registered"
-                            )
-                    t.state = WAIT_BARRIER
-                    t.wait_key = bid
-                    t.time = time
-                    b.waiting.append(t)
-                    if len(b.waiting) == b.need:
-                        if h_release is not None:
-                            tids = [w.tid for w in b.waiting]
-                            for fn in h_release:
-                                fn(bid, tids)
-                        release = max(w.time for w in b.waiting) + barrier_cost
-                        self.barrier_episodes += 1
-                        for w in b.waiting:
-                            arrival = w.time
-                            barrier_wait[w.tid] += release - arrival
-                            if h_span is not None:
-                                for fn in h_span:
-                                    fn(f"B:{bid}", arrival, release, w.tid, 0, None)
-                            w.time = release
-                            w.state = READY
-                            w.wait_key = None
-                            heappush(heap, (release, w.tid))
-                        b.waiting = []
-                    break  # pushed (or parked) above
-                handler = dispatch_get(tag)
-                if handler is None:
-                    raise SimulationError(
-                        f"unknown opcode {tag!r} on {model.kind.upper()} "
-                        f"processor {idx}"
-                    )
                 end = handler(t, op, time)
                 t.time = end
                 if h_span is not None:
                     args = {"addr": op[1]} if tag != COMPUTE else {}
                     for fn in h_span:
                         fn(tag, time, end, idx, 0, args)
-                if fast and not (heap and heap[0] < (end, idx)):
-                    time = end
-                    inline = True
-                    continue
-                heappush(heap, (end, idx))
+                entry = heappushpop(heap, (end, idx))
+                continue
+            # the kernel's own tags, tested only here
+            if tag == PHASE:  # zero-cost marker: no slot, no time
+                if h_phase is not None:
+                    for fn in h_phase:
+                        fn(idx, op[1])
+                if time > last_mark:
+                    last_mark = time
+                snaps.append((last_mark, op[1], self._issued_total(), dict(op_counts)))
+                entry = heappushpop(heap, entry)
+                continue
+            if tag == RUN_BLOCK:  # zero-cost macro: expand in place
+                b = op[1]
+                if b.n:
+                    t.fblock = b
+                    t.fbpos = 0
+                entry = heappushpop(heap, entry)
+                continue
+            t.issued += 1  # a barrier: the one kernel tag that issues
+            op_counts[tag] = op_counts.get(tag, 0) + 1
+            if h_op is not None:
+                for fn in h_op:
+                    fn(idx, op)
+            bid = op[1]
+            b = barriers.get(bid)
+            if b is None:
+                if implicit:
+                    b = barriers[bid] = _Barrier(need=p)
+                else:
+                    raise SimulationError(f"barrier {bid!r} was never registered")
+            t.state = WAIT_BARRIER
+            t.wait_key = bid
+            t.time = time
+            b.waiting.append(t)
+            if len(b.waiting) == b.need:
+                if h_release is not None:
+                    tids = [w.tid for w in b.waiting]
+                    for fn in h_release:
+                        fn(bid, tids)
+                release = max(w.time for w in b.waiting) + barrier_cost
+                self.barrier_episodes += 1
+                for w in b.waiting:
+                    arrival = w.time
+                    barrier_wait[w.tid] += release - arrival
+                    if h_span is not None:
+                        for fn in h_span:
+                            fn(f"B:{bid}", arrival, release, w.tid, 0, None)
+                    w.time = release
+                    w.state = READY
+                    w.wait_key = None
+                    heappush(heap, (release, w.tid))
+                b.waiting = []
+            entry = heappop(heap) if heap else None
 
         parked = [t.tid for t in threads if t.state == WAIT_BARRIER]
         if parked:

@@ -60,8 +60,8 @@ __all__ = ["MTAEngine", "MTAMachine", "check_at_least_one"]
 
 def check_at_least_one(**values: int) -> None:
     """Raise :class:`~repro.errors.ConfigurationError` naming the first
-    of ``values`` below 1: the machine's sizes, and the stream count,
-    walk length and chunk size the MTA programs and the Alg. 3
+    of ``values`` below 1: the machine's processor count, and the stream
+    count, walk length and chunk size the MTA programs and the Alg. 3
     counterpart check before any engine phase or step (a chunk of 0
     would spin until the watchdog).
     """
@@ -97,18 +97,23 @@ class MTAMachine(MachineModel):
         clock_hz: float = 220e6,
         n_banks: int = 0,
     ):
-        for name, value in (
-            ("streams_per_proc", streams_per_proc),
-            ("mem_latency", mem_latency),
-            ("lookahead", lookahead),
-            ("max_outstanding", max_outstanding),
-            ("barrier_latency", barrier_latency),
-            ("n_banks", n_banks),
-        ):  # cycle counts and capacities of an integer-cycle machine
+        # The cycle counts and capacities of an integer-cycle machine, with
+        # the least legal value of each: the analytic MTAConfig's rules,
+        # except that a lookahead of 0 (no issue past a reference) is legal.
+        for name, value, least in (
+            ("streams_per_proc", streams_per_proc, 1),
+            ("mem_latency", mem_latency, 1),
+            ("lookahead", lookahead, 0),
+            ("max_outstanding", max_outstanding, 1),
+            ("barrier_latency", barrier_latency, 0),
+            ("n_banks", n_banks, 0),
+        ):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        check_at_least_one(p=p, streams_per_proc=streams_per_proc, mem_latency=mem_latency)
-        if n_banks and (n_banks < 1 or (n_banks & (n_banks - 1)) != 0):
+            if value < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+        check_at_least_one(p=p)
+        if n_banks & (n_banks - 1):
             raise ConfigurationError(f"n_banks must be 0 or a power of two, got {n_banks}")
         self.p = p
         self.streams_per_proc = streams_per_proc

@@ -76,9 +76,9 @@ class SMPMachine(MachineModel):
         return self.config.barrier_cycles(self.p)
 
     def vector_profile(self):
-        """Event machines fast-forward by superblock continuation inside
-        the kernel loop (no heap churn while a thread stays earliest),
-        which holds for any event-mode cost model — always allowed."""
+        """Always allowed: on an event machine both tiers run the same
+        kernel loop, which continues a thread without heap churn while
+        it stays earliest — exact for any event-mode cost model."""
         from .fastpath import VectorProfile
 
         return VectorProfile()
@@ -99,15 +99,8 @@ class SMPMachine(MachineModel):
         fa_next_free = self._fa_next_free
         fa_sites = self._fa_sites
 
-        def bus_transfer(time):
-            # arbitrate one line transfer; returns its completion time
-            start = self._bus_free
-            if time > start:
-                start = time
-            free = start + line
-            self._bus_free = free
-            self._bus_busy_cycles += line
-            return free
+        # A miss arbitrates one line transfer on the shared bus, inline in
+        # both memory handlers: the bus is free again at `free`.
 
         def h_compute(t, op, time):
             return time + op[1] * cpi
@@ -118,17 +111,28 @@ class SMPMachine(MachineModel):
                 return time + l1_hit
             if level == "l2":
                 return time + l2_hit
-            done = bus_transfer(time) + mem - line
+            start = self._bus_free
+            if time > start:
+                start = time
+            free = start + line
+            self._bus_free = free
+            self._bus_busy_cycles += line
+            done = free + mem - line
             return time + max(done - time, mem)
 
         def h_store(t, op, time):
-            level = t.mstate.access(op[1])  # write-allocate
-            if level == "mem":
-                bus_transfer(time)  # line fill occupies the bus, not the CPU
+            if t.mstate.access(op[1]) == "mem":  # write-allocate
+                # the line fill occupies the bus, not the CPU
+                start = self._bus_free
+                if time > start:
+                    start = time
+                free = start + line
+                self._bus_free = free
+                self._bus_busy_cycles += line
                 # write-buffer backpressure: once the buffer's worth of
                 # line fills is queued behind the bus, the processor
                 # stalls until the backlog drains below the buffer depth
-                backlog = self._bus_free - time
+                backlog = free - time
                 if backlog > allowance:
                     return time + (backlog - allowance + 1.0)
             return time + 1.0

@@ -214,3 +214,45 @@ class TestOneStatePerLevel:
         tail = addrs[2000:]
         assert restored.simulate_stream(tail) == h.simulate_stream(tail)
         assert restored.l1_stats == h.l1_stats and restored.l2_stats == h.l2_stats
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(_CONFLICTING_ADDRS, max_size=40), min_size=1, max_size=8),
+        st.sampled_from([E4500_L1, TWO_WAY_L1]),
+        st.data(),
+    )
+    def test_lookup_matches_reference_across_streams_and_restore(self, chunks, l1, data):
+        """``access`` — both levels in one frame when both are
+        direct-mapped — serves each word from the reference levels' level
+        and keeps their statistics, around ``simulate_stream`` calls and
+        a ``to_state``/``from_state`` round trip, mid-chunk when the
+        chunk is accessed word by word."""
+
+        def round_trip(h):
+            return CacheHierarchy.from_state(pickle.loads(pickle.dumps(h.to_state())))
+
+        h = CacheHierarchy(l1, E4500_L2)
+        ref1, ref2 = Cache(l1), Cache(E4500_L2)
+        restore_in = data.draw(st.integers(0, len(chunks) - 1), label="restore in chunk")
+        for k, chunk in enumerate(chunks):
+            expected = [
+                "l1" if ref1.access(a) else "l2" if ref2.access(a) else "mem"
+                for a in chunk
+            ]
+            if data.draw(st.booleans(), label=f"chunk {k} as one stream"):
+                if k == restore_in:
+                    h = round_trip(h)
+                s1, s2 = h.simulate_stream(np.array(chunk, dtype=np.int64))
+                l1_hits, l2_hits = expected.count("l1"), expected.count("l2")
+                assert (s1, s2) == (
+                    CacheStats(len(chunk), l1_hits),
+                    CacheStats(len(chunk) - l1_hits, l2_hits),
+                )
+            else:
+                cut = data.draw(st.integers(0, len(chunk)), label=f"chunk {k} cut")
+                levels = [h.access(a) for a in chunk[:cut]]
+                if k == restore_in:
+                    h = round_trip(h)
+                levels += [h.access(a) for a in chunk[cut:]]
+                assert levels == expected
+            assert h.l1_stats == ref1.stats and h.l2_stats == ref2.stats

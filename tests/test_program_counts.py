@@ -7,6 +7,13 @@ crash the xval counterpart with a ``ZeroDivisionError``;
 barrier error, and ``nodes_per_walk`` of 0 or below ran silently as 1.
 The MTA programs and the Alg. 3 counterpart now share one check, made
 before any engine phase or counterpart step runs.
+
+So are the MTA engine's latency settings below their least legal value
+(the analytic ``MTAConfig``'s rules, with a lookahead of 0 allowed): a
+negative ``barrier_latency`` released waiters before they arrived and
+recorded wrong barrier waits, and a negative ``lookahead`` or
+``max_outstanding`` ran silently as 0.  ``MTAMachine`` checks them when
+the first phase's engine is built.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from repro.errors import ConfigurationError
 from repro.graphs import random_graph
 from repro.lists import random_list
 from repro.lists.programs import simulate_mta_list_ranking
+from repro.sim import MTAEngine
 from repro.sim.kernel import Engine
 from repro.xval.counterpart import _mta_cc_steps
 
@@ -68,6 +76,46 @@ def test_run_jobs_rejects_before_any_engine_phase(monkeypatch, kind, backend, pa
     with pytest.raises(ConfigurationError, match=f"{name} must be >= 1"):
         run_jobs([_job(kind, backend, params, options)], workers=1, cache=False)
     assert runs == []
+
+
+#: (engine option, bad value, least legal value)
+BAD_MACHINE = [
+    ("barrier_latency", -50, 0),
+    ("lookahead", -2, 0),
+    ("max_outstanding", -3, 1),
+    ("max_outstanding", 0, 1),
+]
+
+
+def _rank_job(backend, engine_kwargs):
+    params = {"n": 400, "list": "random"}
+    options = {"streams_per_proc": 8, "engine_kwargs": engine_kwargs}
+    return Job(Workload("rank", 2, 1, params, options), backend)
+
+
+@pytest.mark.parametrize(
+    "name, value, least", BAD_MACHINE, ids=[f"{n}={v}" for n, v, _ in BAD_MACHINE]
+)
+def test_engine_latency_settings_rejected_before_any_engine_phase(monkeypatch, name, value,
+                                                                  least):
+    runs = []
+    monkeypatch.setattr(Engine, "run", lambda self, *args, **kwargs: runs.append(args))
+    message = f"{name} must be >= {least}, got {value}"
+    with pytest.raises(ConfigurationError, match=message):
+        MTAEngine(p=2, **{name: value})
+    with pytest.raises(ConfigurationError, match=message):
+        simulate_mta_list_ranking(random_list(64, rng=0), 2, streams_per_proc=4,
+                                  engine_kwargs={name: value})
+    for backend in ("mta-engine", "mta-next-engine"):
+        with pytest.raises(ConfigurationError, match=message):
+            run_jobs([_rank_job(backend, {name: value})], workers=1, cache=False)
+    assert runs == []
+
+
+def test_zero_lookahead_and_barrier_latency_stay_legal():
+    (result,) = run_jobs([_rank_job("mta-engine", {"lookahead": 0, "barrier_latency": 0})],
+                         workers=1, cache=False)
+    assert result.summary["cycles"] > 0
 
 
 @pytest.mark.parametrize("name", ["streams_per_proc", "edges_per_chunk"])
@@ -129,10 +177,15 @@ def test_service_job_fails_with_execution_error(tmp_path):
         cc = {"workload": {"kind": "cc", "p": 2, "seed": 0, "params": _CC,
                            "options": {"edges_per_chunk": 0}},
               "backend": "mta-engine"}
-        for submitted, name in ((body, "streams_per_proc"), (cc, "edges_per_chunk")):
+        latency = rank_body(n=64, backend="mta-engine")
+        latency["workload"]["options"] = {"streams_per_proc": 4,
+                                          "engine_kwargs": {"barrier_latency": -50}}
+        for submitted, message in ((body, "streams_per_proc must be >= 1"),
+                                   (cc, "edges_per_chunk must be >= 1"),
+                                   (latency, "barrier_latency must be >= 0, got -50")):
             final = c.wait(c.submit(submitted)["id"], timeout=30)
             assert final["state"] == "failed"
             assert final["error"]["code"] == "execution_error"
-            assert f"{name} must be >= 1" in final["error"]["message"]
+            assert message in final["error"]["message"]
     finally:
         h.stop()

@@ -641,6 +641,22 @@ class TestAnswerAtAdmission:
         assert counters["cache_answers"] == 1
         assert counters["completed"] == 2
 
+    def test_warm_submission_hashes_each_job_key_once(self, harness, monkeypatch):
+        """Parsing hashes each job's cache key; the submission key and the
+        admission lookup reuse those keys (4 hashes for 2 jobs before)."""
+        c = harness().client()
+        c.wait(c.submit(TWO_JOBS)["id"], timeout=30)
+        keyed = []
+        real_key = runner_mod.Job.key
+
+        def counted_key(job):
+            keyed.append(job)
+            return real_key(job)
+
+        monkeypatch.setattr(runner_mod.Job, "key", counted_key)
+        assert c.submit(TWO_JOBS)["state"] == "done"
+        assert len(keyed) == 2
+
     def test_partly_cached_submission_executes(self, harness):
         c = harness().client()
         c.wait(c.submit(rank_body(seed=0))["id"], timeout=30)
