@@ -20,15 +20,17 @@ Three workloads per engine, chosen to stress different dispatch paths:
     dependent loads, stores, compute — closest to Alg. 1's profile.
 
 These three run pinned to the interpreted tier, so the numbers keep
-measuring generator dispatch.  A fourth workload measures the vector
-fast path (``docs/SIMULATION.md``, "Execution tiers"):
+measuring generator dispatch.  A fourth workload measures the LD-window
+fast-forward that ``tier="auto"`` adds on the MTA
+(``docs/SIMULATION.md``, "Execution tiers"):
 
 ``ranking``
     The uncontended ranking kernel: each MTA stream grabs work with a
     ``FA`` on a *private* counter, then walks a long dependent-load
     chain declared as an :func:`~repro.sim.isa.run_block` — the
     pointer-chase regime the LD-window fast-forward collapses to
-    closed form.  Measured on both tiers; the ratio is reported as
+    closed form.  Measured under ``interpreted`` and ``auto``; the
+    ratio is reported as
     ``fast_tier.speedup`` and CI enforces ``--min-fast-speedup 10``.
 
 Usage::
@@ -176,7 +178,7 @@ def run_bench(n_ops: int = DEFAULT_OPS, repeats: int = 3) -> dict:
         row["ops_per_sec"] for rows in out["engines"].values() for row in rows.values()
     )
     fast: dict = {}
-    for tier in ("interpreted", "vector"):
+    for tier in ("interpreted", "auto"):
         best = None
         for _ in range(repeats):
             r = _run_mta_ranking(n_ops, tier)
@@ -184,9 +186,9 @@ def run_bench(n_ops: int = DEFAULT_OPS, repeats: int = 3) -> dict:
                 best = r
         fast[tier] = best
     # both tiers must simulate the identical machine history
-    assert fast["vector"]["cycles"] == fast["interpreted"]["cycles"]
-    assert fast["vector"]["issued"] == fast["interpreted"]["issued"]
-    fast["speedup"] = fast["vector"]["ops_per_sec"] / fast["interpreted"]["ops_per_sec"]
+    assert fast["auto"]["cycles"] == fast["interpreted"]["cycles"]
+    assert fast["auto"]["issued"] == fast["interpreted"]["issued"]
+    fast["speedup"] = fast["auto"]["ops_per_sec"] / fast["interpreted"]["ops_per_sec"]
     out["fast_tier"] = fast
     return out
 
@@ -207,7 +209,7 @@ def test_engine_throughput_smoke(benchmark):
         for r in rows.values():
             assert r["issued"] > 0
     assert result["min_ops_per_sec"] > 0
-    assert result["fast_tier"]["vector"]["windows"] > 0
+    assert result["fast_tier"]["auto"]["windows"] > 0
     assert result["fast_tier"]["speedup"] > 0
 
 
@@ -220,7 +222,7 @@ def main(argv=None) -> int:
     ap.add_argument("--min-ops-per-sec", type=float, default=None,
                     help="exit 1 if any measurement falls below this floor")
     ap.add_argument("--min-fast-speedup", type=float, default=None,
-                    help="exit 1 if the vector tier's ranking-kernel speedup "
+                    help="exit 1 if the auto tier's ranking-kernel speedup "
                          "over interpreted falls below this ratio")
     args = ap.parse_args(argv)
 
@@ -233,7 +235,7 @@ def main(argv=None) -> int:
             print(f"{engine:>10} {workload:>8}: {r['ops_per_sec']:>12,.0f} ops/s"
                   f"  ({r['issued']:,} ops in {r['seconds']:.3f}s)")
     fast = result["fast_tier"]
-    for tier in ("interpreted", "vector"):
+    for tier in ("interpreted", "auto"):
         r = fast[tier]
         print(f"{'ranking':>10} {tier:>11}: {r['ops_per_sec']:>12,.0f} ops/s"
               f"  ({r['issued']:,} ops in {r['seconds']:.3f}s,"

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """What ``tier="auto"`` costs over ``tier="interpreted"`` on paper workloads.
 
-``auto`` selects the vector tier whenever the machine allows it, but no
-paper program emits ``run_block``, so no fast-forward can fire on one,
-and ``auto`` must run at interpreted speed.  Two slices gate that:
+``auto`` may fast-forward LD windows whenever the machine allows it, but
+no paper program emits ``run_block``, so no window can fire on one, and
+``auto`` must run at interpreted speed.  Two slices gate that:
 
 ``table1_rank``
     MTA list ranking of a random list at p = 4 with the paper's stream

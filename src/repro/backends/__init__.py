@@ -70,7 +70,6 @@ def _register_builtins() -> None:
         description=SMPEngineBackend.description,
         machine="smp",
         hooks=HOOK_EVENTS,
-        tiers=("interpreted", "vector"),
         checkpoint=True,
         xval=True,
     )

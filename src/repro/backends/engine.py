@@ -20,13 +20,12 @@ Workload options consumed here (all optional):
 ``s``
     SMP Helman–JáJá sublist-count override.
 ``tier``
-    Execution tier for the run (``"auto"``/``"interpreted"``/
-    ``"vector"``; see ``docs/SIMULATION.md``).  A per-op hook passed to
+    Execution tier for the run (``"auto"``/``"interpreted"``; see
+    ``docs/SIMULATION.md``).  Under ``"auto"`` a per-op hook passed to
     :meth:`execute` — a :class:`~repro.sim.hooks.CheckerHook`, an
-    op-level :class:`~repro.sim.hooks.TracerHook` — forces
-    ``"interpreted"``: it observes every op, so ``repro analyze`` and
-    ``repro trace --level op`` always run at full per-op fidelity
-    regardless of the requested tier.
+    op-level :class:`~repro.sim.hooks.TracerHook` — makes the kernel
+    interpret: it observes every op, so ``repro analyze`` and ``repro
+    trace --level op`` always run at full per-op fidelity.
 ``steps``, ``mem_latency``, ``lookahead``
     ``chase`` workload: instructions per chaser and engine latency
     parameters for the saturation curve.
@@ -87,7 +86,7 @@ class SMPEngineBackend(Backend):
         workload = handle.workload
         opt = workload.options
         _reject_retired_options(workload)
-        tier = _resolve_tier(workload, hooks)
+        tier = workload.option("tier") or "auto"
         session = _resolve_session(workload, self.name, hooks)
         if workload.kind == "rank":
             from ..lists.programs import simulate_smp_list_ranking
@@ -147,7 +146,7 @@ class MTAEngineBackend(Backend):
                 f"engine_kwargs cannot set {', '.join(taken)}: the workload's p,"
                 " the caller's hooks and the checkpoint option decide them"
             )
-        engine_kwargs.setdefault("tier", _resolve_tier(workload, hooks))
+        engine_kwargs.setdefault("tier", workload.option("tier") or "auto")
         session = _resolve_session(workload, self.name, hooks)
         if workload.kind == "rank":
             from ..lists.programs import simulate_mta_list_ranking
@@ -207,7 +206,7 @@ class MTAEngineBackend(Backend):
             mem_latency=int_value(opt, "mem_latency", 100),
             lookahead=int_value(opt, "lookahead", 2),
             hooks=hooks,
-            tier=_resolve_tier(workload, hooks),
+            tier=workload.option("tier") or "auto",
             session=session,
         )
         for _ in range(chasers):
@@ -249,14 +248,13 @@ def register_machine(name: str, engine, *, description: str = "", xval: bool = F
     interleaved machine behind ``engine`` (an
     :class:`~repro.sim.kernel.Engine` subclass).
 
-    Its tiers and checkpoint support are read off a default one-processor
-    machine (``vector_profile()``, ``checkpointable``); ``xval`` marks a
-    machine with an analytic counterpart in :mod:`repro.xval`.  A taken
-    name raises :class:`~repro.errors.ConfigurationError`.
+    Its checkpoint support is read off a default one-processor machine
+    (``checkpointable``); ``xval`` marks a machine with an analytic
+    counterpart in :mod:`repro.xval`.  A taken name raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     from ..sim.hooks import HOOK_EVENTS
 
-    model = engine.machine_class(1)
     backend_name = f"{name}-engine"
     register(
         backend_name,
@@ -268,8 +266,7 @@ def register_machine(name: str, engine, *, description: str = "", xval: bool = F
         description=description,
         machine=name,
         hooks=HOOK_EVENTS,
-        tiers=("interpreted",) if model.vector_profile() is None else ("interpreted", "vector"),
-        checkpoint=model.checkpointable,
+        checkpoint=engine.machine_class(1).checkpointable,
         xval=xval,
     )
 
@@ -375,24 +372,4 @@ def _note_resume(session) -> None:
             f" ({session.replayed_runs} run(s) replayed)",
             file=sys.stderr,
         )
-
-
-def _resolve_tier(workload, hooks) -> str:
-    """The execution tier for a workload run (see module docstring).
-
-    A per-op hook wins over the requested tier: it subscribes to events
-    the vector tier cannot deliver, so checked and op-traced runs always
-    interpret.  ``repro analyze --all`` relies on this
-    (tests/test_tier_fallback.py pins it).
-    """
-    tier = str(workload.option("tier") or "auto")
-    from ..sim import TIERS, HookBus
-
-    if tier not in TIERS:
-        raise ConfigurationError(
-            f"unknown tier {tier!r}; expected one of {', '.join(TIERS)}"
-        )
-    if HookBus(hooks).per_op:
-        return "interpreted"
-    return tier
 

@@ -35,9 +35,6 @@ class _Entry:
     #: HookBus events the backend's execution path can deliver
     #: (empty for analytic models, which run no instruction streams).
     hooks: tuple = ()
-    #: Execution tiers the backend's runs may use (empty for analytic
-    #: models, which compute in closed form and have no run loop).
-    tiers: tuple = ()
     #: True when the backend's runs can checkpoint/resume (the machine
     #: model implements the serializable-state contract).
     checkpoint: bool = False
@@ -59,7 +56,6 @@ def register(
     description: str = "",
     machine: str = "",
     hooks: tuple = (),
-    tiers: tuple = (),
     checkpoint: bool = False,
     xval: bool = False,
     replace: bool = False,
@@ -71,8 +67,7 @@ def register(
     but examples can re-run).  ``machine`` names the simulation machine
     model behind an engine backend, ``hooks`` lists the
     :class:`~repro.sim.hooks.HookBus` events its runs can deliver,
-    ``tiers`` the execution tiers its runs may use (the workload's
-    ``tier`` option), ``checkpoint`` whether its runs support
+    ``checkpoint`` whether its runs support
     checkpoint/resume (the workload's ``checkpoint`` option), and
     ``xval`` whether the backend participates in model-vs-engine
     cross-validation (:mod:`repro.xval`); all are informational (shown
@@ -92,7 +87,6 @@ def register(
         description=description,
         machine=machine,
         hooks=tuple(hooks),
-        tiers=tuple(tiers),
         checkpoint=bool(checkpoint),
         xval=bool(xval),
     )
@@ -127,7 +121,7 @@ def names() -> list[str]:
 
 
 def describe() -> list[dict]:
-    """One row per backend: name, level, kinds, machine, hooks, tiers,
+    """One row per backend: name, level, kinds, machine, hooks,
     checkpoint, xval, description."""
     return [
         {
@@ -136,7 +130,6 @@ def describe() -> list[dict]:
             "kinds": list(e.kinds),
             "machine": e.machine,
             "hooks": list(e.hooks),
-            "tiers": list(e.tiers),
             "checkpoint": e.checkpoint,
             "xval": e.xval,
             "description": e.description,

@@ -564,7 +564,10 @@ def _cmd_trace(args) -> int:
 
 
 def _parse_kv(pairs: list[str], what: str) -> dict:
-    """``k=v`` strings → a dict with ints/floats/bools coerced."""
+    """``k=v`` strings → a dict with ints/floats/bools coerced; a value
+    starting with ``{`` or ``[`` is JSON (e.g. ``engine_kwargs``)."""
+    import json
+
     out = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
@@ -572,7 +575,12 @@ def _parse_kv(pairs: list[str], what: str) -> dict:
             raise ConfigurationError(f"bad {what} {pair!r} (expected K=V)")
         value: object = raw
         lowered = raw.lower()
-        if lowered in ("true", "false"):
+        if raw[:1] in ("{", "["):
+            try:
+                value = json.loads(raw)
+            except ValueError as exc:
+                raise ConfigurationError(f"bad {what} {pair!r}: {exc}") from None
+        elif lowered in ("true", "false"):
             value = lowered == "true"
         else:
             for cast in (int, float):
@@ -758,17 +766,15 @@ def _cmd_backends(args) -> int:
     width = max(len(r["name"]) for r in rows)
     kw = max(len(",".join(r["kinds"])) for r in rows)
     mw = max(len(r["machine"] or "-") for r in rows)
-    tw = max(len(",".join(r.get("tiers", [])) or "-") for r in rows)
     for r in rows:
         kinds = ",".join(r["kinds"])
         machine = r["machine"] or "-"
         hooks = f"{len(r['hooks'])} hooks" if r["hooks"] else "-"
-        tiers = ",".join(r.get("tiers", [])) or "-"
         ckpt = "ckpt" if r.get("checkpoint") else "-"
         xval = "xval" if r.get("xval") else "-"
         print(
             f"{r['name']:<{width}}  {r['level']:<6}  {kinds:<{kw}}"
-            f"  {machine:<{mw}}  {hooks:<8}  {tiers:<{tw}}  {ckpt:<4}"
+            f"  {machine:<{mw}}  {hooks:<8}  {ckpt:<4}"
             f"  {xval:<4}  {r['description']}"
         )
     return 0

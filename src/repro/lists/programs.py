@@ -317,7 +317,7 @@ def simulate_smp_list_ranking(
     p: int = 1,
     *,
     s: int | None = None,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int = 0,
     config=None,
     hooks=(),
     tier: str = "auto",
@@ -330,8 +330,10 @@ def simulate_smp_list_ranking(
     (the dynamic schedule).  Cache behaviour comes from the engine's
     per-processor hierarchies fed by the algorithm's real addresses.
     Processor 0 emits ``PHASE`` markers so the run decomposes into the
-    algorithm's five steps (``s1.sweep`` … ``s5.combine``).  ``hooks``
-    are the engine's :class:`~repro.sim.hooks.HookBus` listeners.
+    algorithm's five steps (``s1.sweep`` … ``s5.combine``).  ``rng``
+    seeds the draw of the sublist heads (a fixed seed by default, so
+    every call simulates the same run).  ``hooks`` are the engine's
+    :class:`~repro.sim.hooks.HookBus` listeners.
     """
     from ..core.smp_machine import SUN_E4500
 

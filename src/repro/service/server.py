@@ -576,6 +576,10 @@ class ExperimentService:
             while self._server.is_serving():
                 self._idle.add(writer)
                 try:
+                    # a buffered (pipelined) request would not yield: let others
+                    # in, only then, as a loop turn may wait for the interpreter lock
+                    if reader._buffer:
+                        await asyncio.sleep(0)
                     request = await self._read_request(reader)
                 except ProtocolError as exc:
                     request = exc  # answered, then the connection closes

@@ -19,7 +19,7 @@ from .checkpoint import (
     CheckpointStore,
     load_checkpoint,
 )
-from .fastpath import OpBlock, VectorProfile
+from .fastpath import OpBlock
 from .hooks import HOOK_EVENTS, CheckerHook, HookBus, TracerHook
 from .kernel import (
     CHECKPOINT_STATE_VERSION,
@@ -55,7 +55,6 @@ __all__ = [
     "INTERLEAVED",
     "TIERS",
     "OpBlock",
-    "VectorProfile",
     "HookBus",
     "TracerHook",
     "CheckerHook",

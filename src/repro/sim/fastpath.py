@@ -12,7 +12,9 @@ slices, barrier statistics, contention counters — comes out
 enforced by the differential fuzz suite (``tests/test_sim_fuzz.py``)
 and the golden tests (``tests/test_engine_equivalence.py``).
 
-Three pieces cooperate:
+Two pieces cooperate on a machine that sets
+:attr:`~repro.sim.kernel.MachineModel.fast_forward` (the MTA, with bank
+modeling off: per-bank queues admit no closed-form window):
 
 :class:`OpBlock`
     A precompiled straight-line run of plain ops (``C``/``L``/``LD``/
@@ -24,13 +26,6 @@ Three pieces cooperate:
     exactly the interpreted order, so programs that never use
     ``run_block`` still simulate identically (just without the
     speedup).
-
-:class:`VectorProfile`
-    A machine model's declaration that the fast tier may run
-    (:meth:`~repro.sim.kernel.MachineModel.vector_profile`).  The MTA
-    machine returns one only when bank modeling is off — with banks
-    on, every address interacts through per-bank queues and no
-    closed-form window exists.
 
 :func:`try_ld_window`
     The interleaved-mode fast-forward.  When **every** live stream on
@@ -60,14 +55,13 @@ states the selection rules and fidelity guarantees.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from .isa import COMPUTE, LOAD, LOAD_DEP, STORE
 from .thread import BLOCKED
 
-__all__ = ["OpBlock", "VectorProfile", "try_ld_window"]
+__all__ = ["OpBlock", "try_ld_window"]
 
 #: Integer codes for the plain ops an :class:`OpBlock` may contain.
 _CODES = {COMPUTE: 0, LOAD: 1, LOAD_DEP: 2, STORE: 3}
@@ -113,23 +107,6 @@ class OpBlock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OpBlock(n={self.n})"
-
-
-@dataclass(frozen=True)
-class VectorProfile:
-    """A machine's declaration that the fast tier may run on it.
-
-    Attributes
-    ----------
-    uniform_mem:
-        Interleaved machines only: every memory reference completes in
-        exactly ``mem_latency`` cycles (no bank queueing), which is
-        what makes the LD-window schedule computable in closed form.
-        Event machines leave it False — both tiers run the same event
-        loop there, which needs no memory assumptions.
-    """
-
-    uniform_mem: bool = False
 
 
 # Give up on a window's transient phase after this many explicitly

@@ -77,7 +77,7 @@ HOOK_EVENTS = (
 
 
 #: Events whose subscribers observe individual ops or sync transitions,
-#: which the vector tier's fast-forward windows skip by construction.
+#: which the LD-window fast-forward skips by construction.
 PER_OP_EVENTS = ("on_op", "on_op_span", "on_sync")
 
 

@@ -26,8 +26,8 @@ Two scheduling disciplines cover the paper's machines:
     One thread per processor, each advancing in its own local time;
     a heap of ``(time, proc)`` orders them globally (the SMP: threads
     interact only through the bus and barriers, so there is no
-    per-cycle loop and large programs simulate quickly).  Both tiers
-    run one loop, which takes each next thread with one ``heappushpop``.
+    per-cycle loop and large programs simulate quickly).  The loop
+    takes each next thread with one ``heappushpop``.
 ``"interleaved"``
     Many streams per processor, one instruction issued per processor
     per cycle from some ready stream, round-robin, with fast-forward
@@ -81,11 +81,11 @@ EVENT = "event"
 INTERLEAVED = "interleaved"
 
 #: Execution tiers a caller may request (see docs/SIMULATION.md,
-#: "Execution tiers").  ``auto`` picks ``vector`` whenever the machine
-#: publishes a :meth:`MachineModel.vector_profile` and no hook demands
+#: "Execution tiers").  ``auto`` fast-forwards LD windows whenever the
+#: machine sets :attr:`MachineModel.fast_forward` and no hook demands
 #: per-op fidelity (``HookBus.per_op``: a checker or an op-level
-#: tracer); otherwise ``interpreted``.
-TIERS = ("auto", "interpreted", "vector")
+#: tracer); ``interpreted`` never does.
+TIERS = ("auto", "interpreted")
 
 
 class MachineModel:
@@ -117,6 +117,10 @@ class MachineModel:
         Instructions a stream may issue past an outstanding memory op
         before it must wait (interleaved machines; the kernel resets
         each stream's credit whenever it has no outstanding refs).
+    fast_forward:
+        If True, ``tier="auto"`` may fast-forward pure dependent-load
+        windows in closed form (:mod:`repro.sim.fastpath`), which needs
+        interleaved issue and one memory latency for every reference.
     """
 
     kind = "machine"
@@ -126,6 +130,7 @@ class MachineModel:
     implicit_barriers = False
     threads_per_proc = 1
     lookahead = 0
+    fast_forward = False
 
     def __init__(self, p: int = 1):
         if p < 1:
@@ -175,13 +180,6 @@ class MachineModel:
     def report_detail(self, kernel: "SimKernel") -> dict:
         """The machine's ``SimReport.detail`` dict (contention counters)."""
         return {}
-
-    def vector_profile(self):
-        """A :class:`~repro.sim.fastpath.VectorProfile` if the vectorized
-        fast tier may run on this machine, else None (the default: a
-        machine must opt in by declaring which closed-form fast-forwards
-        are sound for its memory model)."""
-        return None
 
     # -- serializable-state contract (checkpoint/restore) ----------------------
 
@@ -271,11 +269,10 @@ class SimKernel:
         fixed here; nothing attaches later.
     tier:
         Execution tier (one of :data:`TIERS`): ``"auto"`` (default)
-        uses the vectorized fast path whenever the machine supports it
-        and no hook demands per-op fidelity; ``"interpreted"`` forces
-        the per-op path; ``"vector"`` demands the fast path, and
-        :meth:`run` raises :class:`~repro.errors.ConfigurationError` if
-        a hook or the machine forbids it — never a silent downgrade.
+        fast-forwards LD windows whenever the machine sets
+        ``fast_forward`` and no hook demands per-op fidelity;
+        ``"interpreted"`` forces the per-op path.  Decided here, once:
+        the machine and the hooks are fixed at construction.
     """
 
     def __init__(
@@ -314,10 +311,8 @@ class SimKernel:
         self._h_sync = bus.listeners("on_sync")
         self._h_release = bus.listeners("on_barrier_release")
         if tier not in TIERS:
-            raise ConfigurationError(f"unknown tier {tier!r}; expected one of {TIERS}")
-        self.tier = tier
-        #: Tier the last run resolved to ("vector" or "interpreted").
-        self.tier_used: str | None = None
+            raise ConfigurationError(f"unknown tier {tier!r}; expected one of {', '.join(TIERS)}")
+        self._fast = tier == "auto" and model.fast_forward and not bus.per_op
         #: Fast-forward window accounting (not part of SimReport — the
         #: report must stay byte-identical across tiers).
         self._window_stats = {"windows": 0, "ops": 0}
@@ -657,6 +652,12 @@ class SimKernel:
         they bulk-executed.  Diagnostic only — never in the report."""
         return dict(self._window_stats)
 
+    @property
+    def tier_used(self) -> str:
+        """The path the kernel's runs took: ``"vector"`` once an LD
+        window has fired, else ``"interpreted"``."""
+        return "vector" if self._window_stats["windows"] else "interpreted"
+
     # -- run --------------------------------------------------------------------
 
     def run(
@@ -711,28 +712,6 @@ class SimKernel:
                     "serializable-state contract (to_state/from_state)"
                 )
         bus = self.bus
-        tier = self.tier
-        profile = self.model.vector_profile()
-        if tier == "vector":
-            if profile is None:
-                raise ConfigurationError(
-                    f"tier='vector' requested but the {self.model.kind!r} machine "
-                    "publishes no vector profile (per-op semantics, e.g. bank "
-                    "queueing, admit no closed-form fast-forward)"
-                )
-            if bus.per_op:
-                raise ConfigurationError(
-                    "tier='vector' conflicts with per-op instrumentation "
-                    "(an on_op/on_op_span/on_sync subscriber — a concurrency "
-                    "checker or an op-level tracer); use tier='auto' or "
-                    "'interpreted'"
-                )
-            fast = True
-        elif tier == "interpreted":
-            fast = False
-        else:  # auto
-            fast = profile is not None and not bus.per_op
-        self.tier_used = "vector" if fast else "interpreted"
         ctx = self._resume_ctx
         if ctx is not None:
             # continuing a checkpointed run: keep its name and do not
@@ -746,13 +725,13 @@ class SimKernel:
                 for fn in h_start:
                     fn(name, self.p)
         try:
-            if self.event_mode:  # both tiers run the one event loop
+            if self.event_mode:
                 report = self._run_event(
                     name, budget, checkpoint_every, checkpoint_sink, ctx
                 )
             else:
                 report = self._run_interleaved(
-                    name, budget, fast, checkpoint_every, checkpoint_sink, ctx
+                    name, budget, self._fast, checkpoint_every, checkpoint_sink, ctx
                 )
         finally:
             self._resume_ctx = None

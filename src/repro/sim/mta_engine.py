@@ -124,6 +124,7 @@ class MTAMachine(MachineModel):
         self.barrier_latency = barrier_latency
         self.clock_hz = clock_hz
         self.n_banks = n_banks
+        self.fast_forward = n_banks == 0  # bank queues admit no closed-form window
         self._bank_next_free: dict[int, int] = {}
         self.bank_contention_stalls = 0
         # full/empty memory: address present in _full ⇔ word is Full
@@ -142,17 +143,6 @@ class MTAMachine(MachineModel):
 
     def barrier_release_cost(self) -> int:
         return self.barrier_latency
-
-    def vector_profile(self):
-        """The fast tier may run only with bank modeling off: uniform
-        memory latency is what makes the pure-LD rotation schedule
-        closable in closed form.  With banks on, every address
-        interacts through per-bank queues — per-op execution only."""
-        if self.n_banks:
-            return None
-        from .fastpath import VectorProfile
-
-        return VectorProfile(uniform_mem=True)
 
     def init_counter(self, addr: int, value: int) -> None:
         self.fa_values[addr] = value

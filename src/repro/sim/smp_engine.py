@@ -75,14 +75,6 @@ class SMPMachine(MachineModel):
     def barrier_release_cost(self) -> float:
         return self.config.barrier_cycles(self.p)
 
-    def vector_profile(self):
-        """Always allowed: on an event machine both tiers run the same
-        kernel loop, which continues a thread without heap churn while
-        it stays earliest — exact for any event-mode cost model."""
-        from .fastpath import VectorProfile
-
-        return VectorProfile()
-
     def init_counter(self, addr: int, value: int) -> None:
         self.fa_values[addr] = value
 

@@ -31,6 +31,10 @@ class TestRegistry:
         assert rows["smp-engine"]["level"] == "engine"
         assert "rank" in rows["cluster-model"]["kinds"]
         assert rows["mta-model"]["description"]
+        assert set(rows["mta-engine"]) == {
+            "name", "level", "kinds", "machine", "hooks", "checkpoint", "xval",
+            "description",
+        }
 
     def test_duplicate_register_raises(self):
         with pytest.raises(ConfigurationError):

@@ -6,9 +6,10 @@ pushed through ``pickle`` (the process boundary), restored into a
 *freshly built* engine and run to completion, must produce a
 :class:`~repro.sim.SimReport` — and shared-array side effects, and the
 hook event stream — byte-identical to the uninterrupted run.  On both
-machines, on both execution tiers, at arbitrary boundaries (the
-Hypothesis property below reuses the differential fuzzer's program
-generator from :mod:`tests.test_sim_fuzz`).
+machines, on both execution tiers (``auto`` fires an LD window in the
+MTA workload; on the SMP both tiers run one loop), at arbitrary
+boundaries (the Hypothesis property below reuses the differential
+fuzzer's program generator from :mod:`tests.test_sim_fuzz`).
 
 Also covered here: the watchdog post-mortem artifact (resume an aborted
 run with a larger budget), the on-disk artifact codec, and the full
@@ -114,7 +115,7 @@ _BUILDERS = {"mta": build_mta, "smp": build_smp}
 
 class _LogHook:
     """Phase-level hook recording the event stream (tier-independent:
-    subscribes to no per-op event, so the vector tier stays legal)."""
+    subscribes to no per-op event, so ``auto`` still fast-forwards)."""
 
     def __init__(self):
         self.events = []
@@ -143,7 +144,7 @@ def _pause_state(eng, pause_at, name="test", **run_kw):
 
 
 # ---------------------------------------------------------------------------
-# round trips: both machines x both tiers x several boundaries
+# round trips: both machines x their tiers x several boundaries
 # ---------------------------------------------------------------------------
 
 
@@ -151,9 +152,12 @@ def _pause_state(eng, pause_at, name="test", **run_kw):
 #: the SMP one is ~115 scheduling steps).
 _PAUSES = {"mta": (1, 50, 200), "smp": (1, 20, 80)}
 
+#: Machine x tier legs: on the SMP both tiers run one event loop, so
+#: its interpreted leg covers it.
+_LEGS = [("mta", "interpreted"), ("mta", "auto"), ("smp", "interpreted")]
 
-@pytest.mark.parametrize("tier", ["interpreted", "vector"])
-@pytest.mark.parametrize("machine", sorted(_BUILDERS))
+
+@pytest.mark.parametrize("machine, tier", _LEGS)
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_roundtrip_report_and_memory(machine, tier, which):
     pause_at = _PAUSES[machine][which]
@@ -174,8 +178,7 @@ def test_roundtrip_report_and_memory(machine, tier, which):
     assert np.array_equal(arr2, arr0)
 
 
-@pytest.mark.parametrize("tier", ["interpreted", "vector"])
-@pytest.mark.parametrize("machine", sorted(_BUILDERS))
+@pytest.mark.parametrize("machine, tier", _LEGS)
 def test_roundtrip_hook_event_stream(machine, tier):
     """Prefix (before the pause) + continuation (after resume) equals
     the uninterrupted event stream — ``on_run_start`` is not re-emitted
@@ -196,6 +199,36 @@ def test_roundtrip_hook_event_stream(machine, tier):
     rep2 = eng2.run("IGNORED")
     assert prefix.events + tail.events == whole.events
     assert rep2.name == rep0.name == "test"
+
+
+@pytest.mark.parametrize("machine, tier", _LEGS)
+def test_tier_used_follows_the_windows_across_resume(machine, tier, tmp_path):
+    """``tier_used`` reads ``"vector"`` exactly when an LD window has
+    fired, on a resumed kernel as on the uninterrupted one, and each
+    artifact header's ``tier`` says the same of its snapshot: only the
+    MTA's ``auto`` leg fires a window, late in the run."""
+    build = _BUILDERS[machine]
+    eng0, _ = build(tier=tier)
+    eng0.run("test")
+    session = CheckpointSession(every=_PAUSES[machine][1], store=CheckpointStore(tmp_path))
+    build(session=session, tier=tier)[0].run("test")
+    header_tiers = set()
+    for path in session.written:
+        ckpt = load_checkpoint(path)
+        windows = ckpt.state["window_stats"]["windows"]
+        assert ckpt.header["tier"] == ("vector" if windows else "interpreted")
+        header_tiers.add(ckpt.header["tier"])
+        eng2, _ = build(tier=tier)
+        eng2.resume(pickle.loads(pickle.dumps(ckpt.state)))
+        assert eng2.kernel.tier_used == ckpt.header["tier"]
+        eng2.run("IGNORED")
+        stats = eng2.kernel.window_stats
+        assert stats == eng0.kernel.window_stats
+        assert eng2.kernel.tier_used == eng0.kernel.tier_used == (
+            "vector" if stats["windows"] else "interpreted"
+        )
+    fires = (machine, tier) == ("mta", "auto")
+    assert header_tiers == ({"interpreted", "vector"} if fires else {"interpreted"})
 
 
 @pytest.mark.parametrize("n_threads, dtype", [(256, np.uint8), (257, np.int32)])
@@ -280,7 +313,7 @@ def _fuzz_engine(machine, seed, record=False, tier="auto"):
     seed=st.integers(min_value=0, max_value=2**31),
     pause_at=st.integers(min_value=1, max_value=400),
     machine=st.sampled_from(["mta", "smp"]),
-    tier=st.sampled_from(["interpreted", "vector"]),
+    tier=st.sampled_from(["interpreted", "auto"]),
 )
 def test_roundtrip_property_fuzzed_programs(seed, pause_at, machine, tier):
     rep0 = _fuzz_engine(machine, seed, tier=tier).run("fuzz", 10_000_000)

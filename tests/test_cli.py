@@ -199,6 +199,51 @@ def test_malformed_workload_values_are_config_errors(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_opt_carries_a_json_mapping(capsys):
+    """A value starting with ``{`` or ``[`` parses as JSON, so ``--opt``
+    can carry the ``engine_kwargs`` mapping: the record is the one
+    ``run_jobs`` writes for the same dict."""
+    from repro.backends import Workload
+    from repro.core.runner import Job, run_jobs
+
+    assert main(["run", "--workload", "rank", "--backend", "mta-engine", "--n", "400",
+                 "--p", "2", "--opt", "streams_per_proc=8",
+                 "--opt", 'engine_kwargs={"barrier_latency": 40}', "--json",
+                 "--no-cache"]) == 0
+    options = {"streams_per_proc": 8, "engine_kwargs": {"barrier_latency": 40}}
+    [result] = run_jobs(
+        [Job(Workload("rank", 2, 0, {"n": 400}, options), "mta-engine")], cache=False
+    )
+    assert capsys.readouterr().out == result.jsonl() + "\n"
+
+
+@pytest.mark.parametrize("flag, pair", [
+    ("--opt", 'engine_kwargs={"barrier_latency": 40'),
+    ("--opt", "engine_kwargs=[1,"),
+    ("--param", "n={n}"),
+])
+def test_malformed_json_value_exits_2(flag, pair, capsys):
+    argv = ["run", "--workload", "rank", "--backend", "mta-engine", "--n", "64",
+            "--p", "2", flag, pair, "--no-cache"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {flag} {pair!r}: ") and "Traceback" not in err
+
+
+def test_scalar_kv_values_parse_as_before():
+    from repro.cli import _parse_kv
+
+    pairs = ["a=1", "b=-2", "c=2.5", "d=1e3", "e=true", "f=False", "g=abc", "h=", "i=a=b",
+             "j=x{y}"]
+    assert _parse_kv(pairs, "--opt") == {
+        "a": 1, "b": -2, "c": 2.5, "d": 1000.0, "e": True, "f": False, "g": "abc",
+        "h": "", "i": "a=b", "j": "x{y}",
+    }
+    assert _parse_kv(['k={"x": [1, 2.5, true]}', "l=[]"], "--param") == {
+        "k": {"x": [1, 2.5, True]}, "l": [],
+    }
+
+
 def _direct_rank_mta(tracer):
     from repro.lists import random_list
     from repro.lists.programs import simulate_mta_list_ranking

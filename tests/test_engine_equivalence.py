@@ -68,15 +68,15 @@ def _check_bytes(name: str, text: str, *, regen_write: bool = True) -> None:
     )
 
 
-@pytest.mark.parametrize("tier", [None, "vector"])
+@pytest.mark.parametrize("tier", [None, "interpreted"])
 @pytest.mark.parametrize("slug", sorted(PROGRAMS))
 def test_paper_program_report_golden(slug, tier):
     """SimReport-derived summaries are byte-identical across the refactor
-    — and across execution tiers: the ``tier="vector"`` runs compare
-    against the *same* golden snapshots as the default-tier runs (which
-    is why they never write on REGEN), so the vectorized fast path is
-    pinned to the interpreted engines' exact output on every paper
-    program."""
+    — and across execution tiers: the ``tier="interpreted"`` runs
+    compare against the *same* golden snapshots as the default-tier
+    (``auto``) runs, which is why they never write on REGEN, so the
+    default tier is pinned to the interpreted engines' exact output on
+    every paper program."""
     workload, backend_name = PROGRAMS[slug]
     if tier is not None:
         workload = dataclasses.replace(
@@ -97,12 +97,13 @@ _TRACED = sorted(
 )
 
 
-@pytest.mark.parametrize("tier", [None, "vector"])
+@pytest.mark.parametrize("tier", [None, "interpreted"])
 @pytest.mark.parametrize("slug", _TRACED)
 def test_paper_program_chrome_trace_golden(slug, tier):
     """Phase-level traces are tier-independent too (a phase tracer does
-    not demand per-op fidelity, so the vector tier must reproduce the
-    identical span boundaries)."""
+    not demand per-op fidelity, so under the default tier the kernel may
+    still fast-forward, and both tiers must give the identical span
+    boundaries)."""
     workload, backend_name = PROGRAMS[slug]
     tracer = Tracer(level="phase")
     hooks = (TracerHook(tracer),)

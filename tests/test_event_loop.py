@@ -12,8 +12,7 @@ warm caches of both kinds of level, these tests pin that
   longest stretch of one thread's steps, and resumed in a fresh engine
   from a pickled snapshot, gives the uninterrupted report, results and
   hook event stream, and so does the run that took the snapshots — with
-  a phase-level hook (``auto`` runs the vector tier) and with op spans
-  (``auto`` runs the interpreted tier);
+  a phase-level hook and with op spans (a per-op subscription);
 * each snapshot's derived heap puts first the thread that steps next;
 * a watchdog trip inside such a stretch resumes with a larger budget;
 * ``tier="interpreted"`` and ``"auto"`` give byte-identical reports,
@@ -76,8 +75,7 @@ class _Session:
 
 
 class _Events:
-    """The phase-level hook event stream: no per-op subscriber, so
-    ``tier="auto"`` resolves to the vector tier."""
+    """The phase-level hook event stream (no per-op subscriber)."""
 
     def __init__(self):
         self.events = []
@@ -96,8 +94,7 @@ class _Events:
 
 
 class _OpEvents(_Events):
-    """The event stream with op spans, a per-op subscription that
-    resolves ``tier="auto"`` to the interpreted tier."""
+    """The event stream with op spans (a per-op subscription)."""
 
     def on_op_span(self, name, start, end, pid, tid, args):
         self.events.append(("span", name, start, end, pid, tid, args))

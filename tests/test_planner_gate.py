@@ -68,7 +68,7 @@ def test_mta_list_ranking_never_consults_planner(planner, recording_engine):
         nxt, p=4, streams_per_proc=100, nodes_per_walk=10, engine=recording_engine
     )
     assert recording_engine.built, "the program built no engine"
-    assert all(e.kernel.tier_used == "vector" for e in recording_engine.built)
+    assert all(e.kernel.tier_used == "interpreted" for e in recording_engine.built)
     assert planner == {"attempts": 0, "windows": 0}
 
 
@@ -76,7 +76,7 @@ def test_mta_cc_never_consults_planner(planner, recording_engine):
     g = random_graph(256, 1024, rng=5)
     simulate_mta_cc(g, p=4, streams_per_proc=16, engine=recording_engine)
     assert recording_engine.built, "the program built no engine"
-    assert all(e.kernel.tier_used == "vector" for e in recording_engine.built)
+    assert all(e.kernel.tier_used == "interpreted" for e in recording_engine.built)
     assert planner == {"attempts": 0, "windows": 0}
 
 

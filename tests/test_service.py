@@ -537,6 +537,44 @@ class TestPersistentConnections:
             (200, "keep-alive"), (400, "close")]
         assert replies[1][2]["error"]["code"] == "bad_request"
 
+    def test_pipelining_client_does_not_hold_the_loop(self, harness):
+        """A pipelining client's next request is always buffered, so
+        the server yields before serving each such request: another
+        connection's request is answered between two of its requests,
+        not after the buffered backlog."""
+        h = harness()
+        routed = []
+        route = h.service._route
+
+        def logged(method, path, body):
+            routed.append(path)
+            return route(method, path, body)
+
+        h.service._route = logged
+        close = HEALTH.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+        with socket.create_connection(("127.0.0.1", h.port), timeout=30) as busy:
+
+            def drain():  # read every answer, so the server never waits on writes
+                while busy.recv(1 << 16):
+                    pass
+
+            threads = [
+                threading.Thread(target=drain),
+                threading.Thread(target=busy.sendall, args=(HEALTH * 19_999 + close,)),
+            ]
+            for t in threads:
+                t.start()
+            wait_for(lambda: len(routed) >= 1)
+            before = len(routed)
+            metrics = b"GET /v1/metrics HTTP/1.1\r\nConnection: close\r\n\r\n"
+            [(status, _, _)] = split_responses(raw_exchange(h.port, metrics))
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+        assert status == 200
+        assert len(routed) == 20_001
+        assert routed.index("/v1/metrics") - before < 50
+
     def test_client_reconnects_after_the_server_closes(self, harness):
         h = harness()
         c = h.client()

@@ -8,8 +8,10 @@ utilization bounds, and conservation of fetch-add increments.
 The second half is the **differential tier fuzzer**: the same random
 programs (sync-word producer/consumer patterns, barriers, phase
 markers, ``run_block`` chains, varying stream counts and machine
-parameters) run on the interpreted *and* the vectorized tier of both
-machines, and the resulting :class:`~repro.sim.SimReport` must be
+parameters) run on the ``interpreted`` *and* the ``auto`` tier of both
+machines (on the MTA, ``auto`` fast-forwards LD windows; on the SMP
+both tiers run one loop, and the SMP leg guards against a fork coming
+back), and the resulting :class:`~repro.sim.SimReport` must be
 byte-identical — cycles, per-processor issue counts, op histograms,
 phase slices, barrier statistics, contention detail.  A failure prints
 the seed and a one-line repro command; replay a single seed with::
@@ -129,7 +131,7 @@ def test_full_empty_pairs_always_complete(n_pairs, seed):
 
 
 # ---------------------------------------------------------------------------
-# Differential tier fuzzing: vector tier ≡ interpreted tier, byte for byte
+# Differential tier fuzzing: auto tier ≡ interpreted tier, byte for byte
 # ---------------------------------------------------------------------------
 
 #: Seeds per machine (the acceptance floor is 200); ``REPRO_FUZZ_SEED``
@@ -175,7 +177,7 @@ def _fuzz_programs(rng):
 
     Mixes every construct the tiers must agree on: plain ops, fetch-adds,
     phase markers, ``run_block`` chains (biased toward pure dependent-load
-    blocks — the vector tier's window food), one all-streams barrier, and
+    blocks — the LD windows' food), one all-streams barrier, and
     matched sync-store/consume pairs (MTA only; the caller skips them on
     the SMP, whose machine has no full/empty handlers).
     """
@@ -304,8 +306,8 @@ def test_differential_tiers_byte_identical(machine, seed_block):
     )
     for seed in seeds:
         interp, _ = runner("interpreted", seed)
-        vector, _ = runner("vector", seed)
-        assert interp == vector, (
+        auto, _ = runner("auto", seed)
+        assert interp == auto, (
             f"{machine} tier divergence at seed {seed}; replay with:\n"
             f"  REPRO_FUZZ_SEED={seed} PYTHONPATH=src python -m pytest "
             f"tests/test_sim_fuzz.py -k 'differential and {machine}'"
@@ -319,7 +321,7 @@ def test_differential_fuzz_exercises_ld_windows():
     byte-identical."""
     windows = 0
     for seed in range(40):
-        _, w = _run_fuzz_mta("vector", seed)
+        _, w = _run_fuzz_mta("auto", seed)
         windows += w
     assert windows > 0
 
@@ -329,13 +331,13 @@ def test_differential_fuzz_exercises_ld_windows():
         yield isa.run_block([isa.load_dep(base + 8 * i) for i in range(32)])
 
     blobs = {}
-    for tier in ("interpreted", "vector"):
+    for tier in ("interpreted", "auto"):
         eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=15, tier=tier)
         for k in range(16):
             eng.spawn(walker(k * 4096))
         report = eng.run("walk")
         blobs[tier] = _report_blob(report)
-        if tier == "vector":
+        if tier == "auto":
             assert eng.kernel.window_stats["windows"] > 0
             assert eng.kernel.tier_used == "vector"
-    assert blobs["interpreted"] == blobs["vector"]
+    assert blobs["interpreted"] == blobs["auto"]

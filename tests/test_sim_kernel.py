@@ -254,8 +254,6 @@ class TestMachineRegistry:
         assert row["level"] == "engine"
         assert row["kinds"] == ["rank", "cc", "chase"]
         assert row["hooks"] == list(HOOK_EVENTS)
-        # bank modeling is on by default: no vector profile
-        assert row["tiers"] == ["interpreted"]
         assert row["checkpoint"] is True
         assert create("mta-next-engine").engine is MTANextEngine
 
@@ -270,7 +268,6 @@ class TestMachineRegistry:
             assert row["machine"] == "toy-mta"
             assert row["hooks"] == list(HOOK_EVENTS)
             assert row["level"] == "engine"
-            assert row["tiers"] == ["interpreted", "vector"]
             assert row["xval"] is False
             backend = create("toy-mta-engine")
             assert backend.engine is MTAEngine

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.errors import RunPaused
 from repro.graphs.generate import random_graph, star_graph
 from repro.graphs.programs import simulate_mta_cc, simulate_smp_cc
 from repro.graphs.sequential_cc import cc_union_find
 from repro.lists.generate import ordered_list, random_list, true_ranks
 from repro.lists.programs import simulate_mta_list_ranking, simulate_smp_list_ranking
+from tests.test_sim_fuzz import _report_blob
 
 
 class TestMTAListRankingSim:
@@ -78,6 +80,34 @@ class TestSMPListRankingSim:
     def test_cache_stats_present(self):
         sim = simulate_smp_list_ranking(random_list(600, 1), p=2, rng=0)
         assert len(sim.report.detail["l1_hit_rate"]) == 2
+
+    def test_default_call_is_deterministic(self):
+        """The sublist heads come from a fixed seed by default, so a
+        direct call simulates the same run every time: the ``rng=0`` run."""
+        nxt = random_list(256, rng=5)
+        first, second = (simulate_smp_list_ranking(nxt, p=4) for _ in range(2))
+        seeded = simulate_smp_list_ranking(nxt, p=4, rng=0)
+        assert _report_blob(first.report) == _report_blob(second.report)
+        assert _report_blob(first.report) == _report_blob(seeded.report)
+        assert np.array_equal(first.ranks, seeded.ranks)
+
+    def test_default_call_resumes_from_a_checkpoint(self):
+        """A recorded default call paused part-way resumes, in a second
+        default call, to the uninterrupted run."""
+        from tests.test_event_loop import _outcome, _Session
+
+        nxt = random_list(256, rng=5)
+        whole = simulate_smp_list_ranking(nxt, p=4)
+        paused = []
+
+        def sink(state):
+            paused.append(state)
+            return True
+
+        with pytest.raises(RunPaused):
+            simulate_smp_list_ranking(nxt, p=4, session=_Session(every=500, sink=sink))
+        resumed = simulate_smp_list_ranking(nxt, p=4, session=_Session(resume=paused[0]))
+        assert _outcome(resumed) == _outcome(whole)
 
 
 class TestMTACCSim:

@@ -1,19 +1,20 @@
-"""Tier-selection and fallback-boundary tests for the vectorized fast path.
+"""Tier selection and fallback boundaries for the LD-window fast-forward.
 
 The contract (``docs/SIMULATION.md``, "Execution tiers"):
 
-* ``tier="auto"`` picks the vector tier only when the machine publishes
-  a :class:`~repro.sim.VectorProfile` **and** nothing demands per-op
-  fidelity (an ``on_op``/``on_op_span``/``on_sync`` subscriber — a
-  concurrency checker, an op-level tracer).
-* An explicit ``tier="vector"`` that conflicts with either requirement
-  raises :class:`~repro.errors.ConfigurationError` — never a silent
-  downgrade.
-* Ops the vector tier cannot fast-forward run per op inside a vector
-  run: fallback is a window boundary, not a tier change.
+* ``"auto"`` and ``"interpreted"`` are the only tiers; any other,
+  ``"vector"`` included, is a :class:`~repro.errors.ConfigurationError`.
+* ``tier="auto"`` fast-forwards only when the machine sets
+  ``fast_forward`` **and** nothing demands per-op fidelity (an
+  ``on_op``/``on_op_span``/``on_sync`` subscriber — a concurrency
+  checker, an op-level tracer); the kernel decides this once, when it
+  is built.
+* ``tier_used`` reports the path that ran: ``"vector"`` exactly when a
+  window fired, so every paper program reads ``"interpreted"``.
+* Ops the fast-forward cannot cover run per op inside an ``auto`` run:
+  fallback is a window boundary, not a tier change.
 * A workload run under a per-op hook — ``repro analyze``'s checker,
-  ``repro trace --level op``'s tracer — always executes on the
-  interpreted tier, whatever tier the workload requested.
+  ``repro trace --level op``'s tracer — always executes interpreted.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.analysis import ConcurrencyChecker
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 from repro.sim import CheckerHook, MTAEngine, SMPEngine, TracerHook, isa
+from repro.sim.kernel import TIERS, SimKernel
 
 from .test_sim_fuzz import _report_blob
 
@@ -35,63 +37,108 @@ from .test_sim_fuzz import _report_blob
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """``(tier_used, fast-forward allowed, windows fired)`` of every
+    kernel run in the test."""
+    runs = []
+    orig = SimKernel.run
+
+    def spy(self, *args, **kwargs):
+        result = orig(self, *args, **kwargs)
+        runs.append((self.tier_used, self._fast, self.window_stats["windows"]))
+        return result
+
+    monkeypatch.setattr(SimKernel, "run", spy)
+    return runs
+
+
+def _ld_chain(n=16):
+    return _gen([isa.run_block([isa.load_dep(8 * i) for i in range(n)])])
+
+
 @pytest.mark.parametrize("engine_cls", [MTAEngine, SMPEngine])
-def test_explicit_vector_with_checker_raises(engine_cls):
-    eng = engine_cls(p=1, hooks=(CheckerHook(ConcurrencyChecker()),), tier="vector")
-    eng.spawn(_gen([isa.compute(1)]))
-    with pytest.raises(ConfigurationError, match="per-op instrumentation"):
-        eng.run("t")
+def test_vector_tier_is_refused_by_the_kernel(engine_cls):
+    assert TIERS == ("auto", "interpreted")
+    with pytest.raises(ConfigurationError, match="unknown tier 'vector'"):
+        SimKernel(engine_cls.machine_class(1), tier="vector")
 
 
-def test_explicit_vector_with_op_tracer_raises():
-    eng = MTAEngine(p=1, hooks=(TracerHook(Tracer(level="op")),), tier="vector")
-    eng.spawn(_gen([isa.compute(1)]))
-    with pytest.raises(ConfigurationError, match="per-op instrumentation"):
-        eng.run("t")
+@pytest.mark.parametrize("backend_name", ["mta-engine", "smp-engine"])
+def test_run_jobs_refuses_vector_tier(backend_name):
+    from repro.backends import Workload
+    from repro.core.runner import Job, run_jobs
+
+    job = Job(Workload("rank", 2, 0, {"n": 200}, {"tier": "vector"}), backend_name)
+    with pytest.raises(ConfigurationError, match="unknown tier 'vector'"):
+        run_jobs([job], cache=False)
+
+
+def test_repro_run_refuses_vector_tier(capsys):
+    from repro.cli import main
+
+    argv = ["run", "--workload", "rank", "--backend", "mta-engine", "--n", "200",
+            "--p", "2", "--opt", "tier=vector", "--no-cache"]
+    assert main(argv) == 2
+    assert "unknown tier 'vector'" in capsys.readouterr().err
 
 
 def test_auto_with_checker_runs_interpreted():
     eng = MTAEngine(p=1, hooks=(CheckerHook(ConcurrencyChecker()),))
-    eng.spawn(_gen([isa.run_block([isa.load_dep(8 * i) for i in range(16)])]))
+    eng.spawn(_ld_chain())
     eng.run("t")
     assert eng.kernel.tier_used == "interpreted"
     assert eng.kernel.window_stats["windows"] == 0
 
 
-def test_banked_memory_publishes_no_vector_profile():
-    """With bank modeling on there is no closed-form window; explicit
-    vector refuses, auto interprets.  (This is what keeps the
-    ``mta-next`` machine — ``n_banks=4096`` — interpreted-only.)"""
-    eng = MTAEngine(p=1, n_banks=16, tier="vector")
-    eng.spawn(_gen([isa.compute(1)]))
-    with pytest.raises(ConfigurationError, match="no vector profile"):
-        eng.run("t")
+def test_banked_memory_runs_interpreted():
+    """With bank modeling on there is no closed-form window, so the
+    machine does not set ``fast_forward`` and ``auto`` interprets."""
     eng = MTAEngine(p=1, n_banks=16)
-    eng.spawn(_gen([isa.run_block([isa.load_dep(8 * i) for i in range(16)])]))
+    assert not eng.model.fast_forward
+    eng.spawn(_ld_chain())
     eng.run("t")
     assert eng.kernel.tier_used == "interpreted"
+    assert eng.kernel.window_stats["windows"] == 0
 
 
 def test_mta_next_backend_is_interpreted_only():
-    from repro.backends import describe
+    """``mta-next`` keeps bank modeling on (``n_banks=4096``): even a
+    pure dependent-load chain runs interpreted on its engine."""
+    from repro.backends import create
 
-    rows = {r["name"]: r for r in describe()}
-    assert rows["mta-next-engine"]["tiers"] == ["interpreted"]
-    assert rows["mta-engine"]["tiers"] == ["interpreted", "vector"]
-    assert rows["smp-engine"]["tiers"] == ["interpreted", "vector"]
+    eng = create("mta-next-engine").engine(p=1)
+    eng.spawn(_ld_chain())
+    eng.run("t")
+    assert eng.kernel.tier_used == "interpreted"
+    assert eng.kernel.window_stats["windows"] == 0
 
 
 def test_phase_level_tracer_keeps_vector_tier():
-    eng = MTAEngine(p=1, hooks=(TracerHook(Tracer(level="phase")),), tier="vector")
+    eng = MTAEngine(p=1, hooks=(TracerHook(Tracer(level="phase")),))
     for _ in range(4):
-        eng.spawn(_gen([isa.run_block([isa.load_dep(8 * i) for i in range(64)])]))
+        eng.spawn(_ld_chain(64))
     eng.run("t")
     assert eng.kernel.tier_used == "vector"
     assert eng.kernel.window_stats["windows"] > 0
 
 
+@pytest.mark.parametrize("kind", ["rank", "cc"])
+@pytest.mark.parametrize("backend_name", ["mta-engine", "smp-engine", "mta-next-engine"])
+def test_paper_programs_report_interpreted(kernel_runs, backend_name, kind):
+    """No paper program emits ``run_block``, so none fires a window and
+    every engine run reports ``"interpreted"`` under the default tier."""
+    from repro.backends import Workload, create
+    params = {"n": 200} if kind == "rank" else {"n": 64, "m": 256}
+    backend = create(backend_name)
+    backend.execute(backend.prepare(Workload(kind, 2, 0, params, {})))
+    assert kernel_runs and {(used, windows) for used, _, windows in kernel_runs} == {
+        ("interpreted", 0)
+    }
+
+
 # ---------------------------------------------------------------------------
-# Per-op fallback inside a vector run
+# Per-op fallback inside an auto run
 # ---------------------------------------------------------------------------
 
 
@@ -158,21 +205,21 @@ def _mk_programs(seed):
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_nonvectorizable_ops_fall_back_per_op(seed):
     """FA, sync words, barriers, and phases interleaved with LD blocks:
-    the fast tier executes those per-op (windows end at the boundary)
-    with byte-identical results and stays the vector tier — fallback is
-    a window boundary, not a tier change."""
+    ``auto`` executes those per-op (windows end at the boundary) with
+    byte-identical results and still fires windows — fallback is a
+    window boundary, not a tier change."""
     progs = _mk_programs(seed)
     blobs = {}
-    for tier in ("interpreted", "vector"):
+    for tier in ("interpreted", "auto"):
         eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=12, tier=tier)
         eng.set_counter(0, 0)
         eng.register_barrier("z", len(progs))
         for ops in progs:
             eng.spawn(_gen(ops))
         blobs[tier] = _report_blob(eng.run("t", 5_000_000))
-        if tier == "vector":
+        if tier == "auto":
             assert eng.kernel.tier_used == "vector"
-    assert blobs["interpreted"] == blobs["vector"]
+    assert blobs["interpreted"] == blobs["auto"]
 
 
 def test_run_block_expansion_visible_per_op():
@@ -195,49 +242,27 @@ def test_run_block_expansion_visible_per_op():
 # ---------------------------------------------------------------------------
 
 
-def test_analyze_forces_interpreted_tier(monkeypatch):
+def test_analyze_forces_interpreted_tier(kernel_runs):
     """``repro analyze`` (the ``analyze_workload`` driver behind both
     ``--workload`` and ``--all``) runs the interpreted tier even when
-    the workload explicitly requests the vector tier."""
+    the workload requests ``auto``: no kernel may fast-forward."""
     from repro.analysis import analyze_workload
     from repro.backends import Workload
-    from repro.sim.kernel import SimKernel
-
-    used = []
-    orig = SimKernel.run
-
-    def spy(self, *args, **kwargs):
-        result = orig(self, *args, **kwargs)
-        used.append(self.tier_used)
-        return result
-
-    monkeypatch.setattr(SimKernel, "run", spy)
-    workload = Workload("rank", 2, 0, {"n": 200}, {"tier": "vector"})
+    workload = Workload("rank", 2, 0, {"n": 200}, {"tier": "auto"})
     report = analyze_workload(workload, "mta-engine")
-    assert used and all(t == "interpreted" for t in used)
+    assert kernel_runs and set(kernel_runs) == {("interpreted", False, 0)}
     assert report is not None
 
 
 @pytest.mark.parametrize("backend_name", ["mta-engine", "smp-engine"])
-def test_op_level_trace_forces_interpreted_tier(monkeypatch, backend_name):
-    """``repro trace --level op --opt tier=vector``: the op-level tracer
-    is a per-op hook, so the workload runs interpreted instead of
-    failing on the explicit tier, with every op traced."""
+def test_op_level_trace_forces_interpreted_tier(kernel_runs, backend_name):
+    """``repro trace --level op --opt tier=auto``: the op-level tracer
+    is a per-op hook, so no kernel may fast-forward and every op is
+    traced."""
     from repro.backends import Workload, create
-    from repro.sim.kernel import SimKernel
-
-    used = []
-    orig = SimKernel.run
-
-    def spy(self, *args, **kwargs):
-        result = orig(self, *args, **kwargs)
-        used.append(self.tier_used)
-        return result
-
-    monkeypatch.setattr(SimKernel, "run", spy)
     backend = create(backend_name)
     tracer = Tracer(level="op")
-    workload = Workload("rank", 2, 0, {"n": 200}, {"tier": "vector"})
+    workload = Workload("rank", 2, 0, {"n": 200}, {"tier": "auto"})
     summary = backend.execute(backend.prepare(workload), hooks=(TracerHook(tracer),))
-    assert used and all(t == "interpreted" for t in used)
+    assert kernel_runs and set(kernel_runs) == {("interpreted", False, 0)}
     assert len(tracer.events) > summary.issued

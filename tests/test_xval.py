@@ -69,12 +69,12 @@ class TestDeterminism:
 
     def test_identical_across_execution_tiers(self):
         texts = {}
-        for tier in ("interpreted", "vector"):
+        for tier in ("interpreted", "auto"):
             report, _ = run_xval(
                 _workload(n=96, m=192, options={"tier": tier})
             )
             texts[tier] = report.jsonl()
-        assert texts["interpreted"] == texts["vector"]
+        assert texts["interpreted"] == texts["auto"]
 
     def test_identical_through_the_result_cache(self, tmp_path):
         cache = SweepCache(tmp_path / "cache")
